@@ -453,15 +453,7 @@ mod tests {
             chains_busy_s: 0.9,
             chains_concurrency: 1.8,
             chains_utilization: 2.0,
-            miss_by_reason: [
-                ("cold", 40),
-                ("flush", 0),
-                ("class_collision", 0),
-                ("partial_candidate_list", 0),
-                ("boundary_guard", 0),
-                ("membership_crossing", 0),
-                ("capacity", 0),
-            ],
+            miss_by_reason: [("cold", 40), ("capacity", 0)],
             miss_dominant: ("cold".into(), 40),
             warnings: Vec::new(),
         };

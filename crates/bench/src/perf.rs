@@ -7,7 +7,7 @@
 //! 1. **Energy-evaluation rate** — one annealing run on the ISP backbone,
 //!    naive vs cached, reporting energy-evals/sec, the
 //!    `circuits.shortest_path_calls` counts (the ≥5× reduction target),
-//!    the relay-layer hit rate (`cache_hit_rate`), and the outcome-memo
+//!    the relay-search hit rate (`cache_hit_rate`), and the outcome-memo
 //!    hit rate (`outcome_hit_rate`).
 //! 2. **Pipeline wall clock** — the Fig 10(d)-style inter-DC simulation at
 //!    a fixed iteration budget, cache off vs on (the ≥2× speedup target),
@@ -64,12 +64,12 @@ pub struct AnnealBenchReport {
     pub shortest_path_reduction: f64,
     /// `naive_wall_s / fast_wall_s` for the single run.
     pub eval_speedup: f64,
-    /// Relay-layer hit rate over the cached run:
-    /// `(relay_hits + relay_relaxed_hits) / relay lookups`. This is the
-    /// rate of the cache layer that actually amortizes the expensive work
-    /// (`RegenGraph` + Yen per desired link) — an annealing walk rarely
-    /// revisits whole topologies, so the outcome memo alone cannot carry
-    /// the fast path.
+    /// Relay-search hit rate over the cached run:
+    /// `relay_hits / (relay_hits + relay_misses)`, the share of circuit
+    /// requests the lazy first-path search settled without building a
+    /// `RegenGraph` and running Yen. This is the layer that removes the
+    /// expensive work — an annealing walk rarely revisits whole
+    /// topologies, so the outcome memo alone cannot carry the fast path.
     pub cache_hit_rate: f64,
     /// Outcome-memo hit rate over the cached run's evaluations (whole
     /// revisited topologies answered without Algorithm 3).
@@ -123,7 +123,7 @@ pub struct AnnealBenchReport {
     /// Cache-miss attribution from the cached single run, one count per
     /// [`owan_core::MissReason`] slug (evaluation-level; sums to the
     /// outcome-miss total).
-    pub miss_by_reason: [(&'static str, u64); 7],
+    pub miss_by_reason: [(&'static str, u64); 2],
     /// The dominant attributed miss cause (slug) and its count.
     pub miss_dominant: (String, u64),
     /// Comparability caveats baked into the report itself (e.g. a
@@ -336,12 +336,11 @@ pub fn bench_anneal(
     }
     let (naive_res, naive_wall, naive_evals, naive_sp) = naive.expect("reps >= 1");
     let (fast_res, fast_wall, fast_evals, fast_sp, outcome_hit_rate) = fast.expect("reps >= 1");
-    // The headline hit rate is the relay layer's — the layer that
-    // amortizes the RegenGraph/Yen work the fast path exists to avoid.
-    let relay_lookups =
-        fast_stats.relay_hits + fast_stats.relay_relaxed_hits + fast_stats.relay_misses;
-    let cache_hit_rate = if relay_lookups > 0 {
-        (fast_stats.relay_hits + fast_stats.relay_relaxed_hits) as f64 / relay_lookups as f64
+    // The headline hit rate is the relay search's: the share of circuit
+    // requests that needed no RegenGraph + Yen run.
+    let relay_requests = fast_stats.relay_hits + fast_stats.relay_misses;
+    let cache_hit_rate = if relay_requests > 0 {
+        fast_stats.relay_hits as f64 / relay_requests as f64
     } else {
         0.0
     };
@@ -719,15 +718,7 @@ mod tests {
             chains_busy_s: 0.9,
             chains_concurrency: 1.8,
             chains_utilization: 2.0,
-            miss_by_reason: [
-                ("cold", 40),
-                ("flush", 2),
-                ("class_collision", 1),
-                ("partial_candidate_list", 0),
-                ("boundary_guard", 3),
-                ("membership_crossing", 0),
-                ("capacity", 0),
-            ],
+            miss_by_reason: [("cold", 40), ("capacity", 3)],
             miss_dominant: ("cold".into(), 40),
             warnings: vec!["multi-chain scaling measured with 2 chains on 1 core".into()],
         };
@@ -742,8 +733,7 @@ mod tests {
         assert_eq!(json_number(&json, "cache_hit_rate"), Some(0.75));
         assert_eq!(json_number(&json, "outcome_hit_rate"), Some(0.05));
         assert_eq!(json_number(&json, "cache_miss_cold"), Some(40.0));
-        assert_eq!(json_number(&json, "cache_miss_class_collision"), Some(1.0));
-        assert_eq!(json_number(&json, "cache_miss_boundary_guard"), Some(3.0));
+        assert_eq!(json_number(&json, "cache_miss_capacity"), Some(3.0));
         assert!(
             json.contains("\"warnings\": [\"multi-chain scaling"),
             "warnings must serialize as a row:\n{json}"
@@ -794,7 +784,7 @@ mod tests {
             "relay hit rate out of range: {}",
             report.cache_hit_rate
         );
-        assert!(report.fast_shortest_path_calls > 0);
+        assert!(report.fast_shortest_path_calls <= report.naive_shortest_path_calls);
         let attributed: u64 = report.miss_by_reason.iter().map(|&(_, n)| n).sum();
         assert!(
             attributed > 0,

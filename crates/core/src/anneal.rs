@@ -47,7 +47,7 @@ pub struct AnnealConfig {
     /// Optional wall-clock budget in seconds (used by the Fig 10(d)
     /// running-time experiment). `None` = no time limit.
     pub time_budget_s: Option<f64>,
-    /// Use the [`EnergyCache`] fast path (relay caching, delta rebuilds,
+    /// Use the [`EnergyCache`] fast path (lazy relay search, delta rebuilds,
     /// outcome memoization). At a fixed iteration count (`time_budget_s
     /// == None`) the search result is bit-identical either way — the
     /// flag only trades memory for speed. Under a wall-clock budget the
@@ -367,8 +367,8 @@ pub fn anneal_parallel_with_caches(
 /// The chain → result mapping and the winner are identical for every
 /// worker count; only wall-clock changes.
 ///
-/// Before any chain runs, the per-plant precompute (the Floyd–Warshall
-/// static-interior matrix and relay domains, see
+/// Before any chain runs, the per-plant precompute (the within-reach
+/// table and relay domains, see
 /// [`PlantCache`]) is resolved **once** — recycled from
 /// whichever cache already holds it for this plant, built fresh otherwise
 /// — and offered to every chain's cache, so N chains never redo the
@@ -390,7 +390,7 @@ pub fn anneal_parallel_pooled(
     );
     telemetry.anneal_chains.add(chains as u64);
 
-    // Hoist the per-plant precompute out of the chains: one Floyd–Warshall
+    // Hoist the per-plant precompute out of the chains: one closure
     // pass shared by every chain (and, via the caches, by later slots).
     if !caches.is_empty() {
         let sig = plant_fingerprint(ctx.plant);

@@ -1,54 +1,42 @@
-//! The annealing fast path: plant-scoped relay/footprint caches and
+//! The annealing fast path: the plant-scoped lazy relay search and
 //! run-scoped energy memoization.
 //!
 //! Every annealing iteration evaluates `ComputeEnergy` (Algorithm 3) on a
-//! candidate topology, and the naive evaluation rebuilds a [`RegenGraph`]
-//! (Dijkstra + Yen) for *every* desired link — even though the plant is
-//! fixed for the whole slot and the Metropolis walk revisits states. The
-//! [`EnergyCache`] removes that redundancy in three layers:
+//! candidate topology, and the naive evaluation builds a
+//! [`RegenGraph`](crate::regen::RegenGraph) and runs Yen for *every*
+//! circuit it provisions — even though the plant is fixed for the whole
+//! slot and the Metropolis walk revisits states.
+//! The fast path removes that redundancy in two layers:
 //!
-//! 1. **Relay-candidate cache** — candidate relay paths for a link
-//!    `(u, v)` depend only on the plant, the fiber-distance matrix, and
-//!    the free-regenerator vector — but not on the *whole* vector: only
-//!    the sites in the pair's **relay domain** (regenerator-equipped and
-//!    reachable from both endpoints through equipped interiors, see
-//!    [`PlantCache`]) can influence the Yen output. Entries are therefore
-//!    keyed on `(u, v)` plus the **constraint class** of the vector — an
-//!    FNV hash of the domain projection — and a class hit is verified by
-//!    comparing the projections site-for-site (a hash collision falls
-//!    through). When no class matches, the *relaxed match*
-//!    ([`relaxed_entry_match`]) may still prove an existing entry's
-//!    differences irrelevant: every site whose free count moved is
-//!    screened against a static lower bound on any relay path through it,
-//!    adjusted candidate costs provably preserve their order (exact ties
-//!    are only accepted where Yen's own tie-breaks are forced), and the
-//!    stored `(k+1)`-th cost bounds every path outside the candidate set.
-//!    Since most circuits consume regenerators only near their own
-//!    endpoints, one class per pair serves essentially every iteration.
-//! 2. **Footprint sets** — per pair, the union of fibers any relay
-//!    candidate's shortest routes can touch. The delta rebuild uses these
-//!    to prove two links cannot contend for wavelengths.
-//! 3. **Outcome/rate memos** — full [`EnergyOutcome`]s keyed by the
-//!    canonical topology hash (revisited states cost a lookup + clone),
-//!    plus a rate memo keyed by the *achieved* topology (distinct desired
-//!    topologies frequently collapse to the same achieved one).
+//! 1. **Lazy relay search** (plant-scoped). Algorithm 3 tries a link's
+//!    relay candidates in weight order until one provisions, and the
+//!    first candidate almost always does. [`PlantCache::first_relay_path`]
+//!    returns exactly Yen's first path from one early-exit Dijkstra over
+//!    the implicit regenerator graph, reading a static within-reach table
+//!    instead of building the graph; `RegenGraph` + Yen run only when
+//!    that path fails to provision. The [`PlantCache`] also holds each
+//!    pair's relay domain — the only sites whose free counts can
+//!    influence the pair's search — which the delta rebuild's screen
+//!    reads.
+//! 2. **Outcome/rate memos** (run-scoped). Full [`EnergyOutcome`]s keyed
+//!    by the canonical topology hash (revisited states cost a lookup +
+//!    clone), plus a rate memo keyed by the *achieved* topology (distinct
+//!    desired topologies frequently collapse to the same achieved one).
 //!
-//! Invalidation: layers 1–2 are valid as long as the plant content is
+//! Invalidation: layer 1 is valid as long as the plant content is
 //! unchanged; [`EnergyCache::begin_run`] fingerprints the plant (sites,
-//! ports, regenerators, fibers, lengths, usable wavelengths) and flushes
-//! them when the fingerprint moves — e.g. when a chaos fault degrades an
-//! amplifier and shrinks a fiber's usable band. Layer 3 is only valid for
-//! one evaluation context (one transfer set, one slot length) and is
-//! cleared on every `begin_run`.
+//! ports, regenerators, fibers, lengths, usable wavelengths) and drops the
+//! precompute when the fingerprint moves — e.g. when a chaos fault
+//! degrades an amplifier and shrinks a fiber's usable band. Layer 2 is
+//! only valid for one evaluation context (one transfer set, one slot
+//! length) and is cleared on every `begin_run`.
 
-use crate::circuits::CircuitBuildConfig;
 use crate::energy::EnergyOutcome;
 use crate::rates::RateOutcome;
-use crate::regen::RegenGraph;
-use crate::telemetry::CoreTelemetry;
 use crate::topology::Topology;
 use owan_optical::{FiberPlant, SiteId};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::Arc;
 
 /// Cap on memoized full outcomes per run (an outcome holds an optical
@@ -63,14 +51,8 @@ const RATE_CAP: usize = 8192;
 /// after the outcome memo fills, so repeats attribute to `capacity`).
 const OVERFLOW_CAP: usize = 4 * OUTCOME_CAP;
 
-/// Cap on relay entries per endpoint pair (distinct regenerator vectors
-/// seen). On regenerator-rich plants each pair sees one vector per
-/// distinct upstream-consumption prefix, so the cap must hold a full
-/// annealing run's worth; on overflow the *oldest* entry is evicted
-/// (deterministic: insertion order is the search order).
-const RELAY_STATES_PER_PAIR: usize = 64;
-
-/// A small fiber-id bitset used for footprint disjointness tests.
+/// A small fiber-id bitset: the probe unions and dirty sets of the delta
+/// rebuild.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FiberSet {
     words: Vec<u64>,
@@ -87,31 +69,6 @@ impl FiberSet {
     /// Inserts fiber `f`.
     pub fn insert(&mut self, f: usize) {
         self.words[f / 64] |= 1 << (f % 64);
-    }
-
-    /// True if the sets share any fiber.
-    pub fn intersects(&self, other: &FiberSet) -> bool {
-        self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
-    }
-
-    /// Adds every fiber of `other` to `self`.
-    pub fn union_with(&mut self, other: &FiberSet) {
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
-
-    /// Iterates the fiber ids in the set, in increasing order.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(w, &bits)| {
-            (0..64).filter_map(move |b| {
-                if bits & (1 << b) != 0 {
-                    Some(w * 64 + b)
-                } else {
-                    None
-                }
-            })
-        })
     }
 
     /// Iterates the fiber ids present in *both* sets, in increasing order.
@@ -133,37 +90,18 @@ impl FiberSet {
     }
 }
 
-/// Attributed cause of a cache miss. Evaluation-level misses (the
-/// `anneal.cache_miss.<reason>` counters, which partition
-/// `anneal.cache_miss` exactly) use every variant; relay-layer misses use
-/// the subset below [`MissReason::Flush`].
+/// Attributed cause of an evaluation-level cache miss. The
+/// `anneal.cache_miss.<reason>` counters, one per variant, partition
+/// `anneal.cache_miss` exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum MissReason {
     /// No cache attached at all (the naive reference path).
     Uncached,
-    /// First sight: the key was never computed under this run/plant.
+    /// First sight: the topology was never evaluated this run.
     Cold,
     /// The outcome was computed before but the memo's capacity cap
     /// refused to store it.
     Capacity,
-    /// The relay entry existed but was lost to a plant-fingerprint flush.
-    Flush,
-    /// The constraint-class machinery failed to prove equivalence: the
-    /// class hash matched an entry whose domain projection differs (a
-    /// genuine hash collision), or the relaxed match failed order
-    /// preservation among adjusted candidate costs.
-    ClassCollision,
-    /// A site released from zero regenerators met a candidate list
-    /// shorter than `relay_k` — Yen would append its paths regardless of
-    /// cost.
-    PartialCandidateList,
-    /// The top-k boundary guard failed: an outside path could undercut
-    /// or tie-displace the adjusted last candidate.
-    BoundaryGuard,
-    /// A membership crossing failed its static screen (a vanished site
-    /// relayed a candidate, or a crossing site's static bound did not
-    /// clear the boundary).
-    MembershipCrossing,
 }
 
 impl MissReason {
@@ -173,24 +111,13 @@ impl MissReason {
             MissReason::Uncached => "uncached",
             MissReason::Cold => "cold",
             MissReason::Capacity => "capacity",
-            MissReason::Flush => "flush",
-            MissReason::ClassCollision => "class_collision",
-            MissReason::PartialCandidateList => "partial_candidate_list",
-            MissReason::BoundaryGuard => "boundary_guard",
-            MissReason::MembershipCrossing => "membership_crossing",
         }
     }
 
-    /// The relay-layer reasons, in attribution-priority order (ties in
-    /// per-evaluation dominance resolve to the earliest).
-    pub const RELAY: [MissReason; 6] = [
-        MissReason::Cold,
-        MissReason::Flush,
-        MissReason::ClassCollision,
-        MissReason::PartialCandidateList,
-        MissReason::BoundaryGuard,
-        MissReason::MembershipCrossing,
-    ];
+    /// The reasons a *cached* evaluation can miss for, in
+    /// attribution-priority order (ties in dominance resolve to the
+    /// earliest).
+    pub const EVAL: [MissReason; 2] = [MissReason::Cold, MissReason::Capacity];
 }
 
 /// Cache effectiveness counters, exposed for tests and the bench pipeline.
@@ -202,40 +129,33 @@ pub struct EnergyCacheStats {
     pub outcome_misses: u64,
     /// Rate-memo hits (circuits rebuilt, rates answered from the memo).
     pub rate_hits: u64,
-    /// Relay-candidate cache hits (a `RegenGraph` build + Yen avoided).
+    /// Circuit requests settled without a `RegenGraph` build + Yen run:
+    /// the first relay path provisioned, or there was none, or no other
+    /// candidate was allowed.
     pub relay_hits: u64,
-    /// Relay-candidate hits through the relaxed vector match: the queried
-    /// vector differs from the stored one only at sites provably
-    /// irrelevant to the pair's top-k relay paths.
-    pub relay_relaxed_hits: u64,
-    /// Relay-candidate cache misses.
+    /// Circuit requests whose first relay path failed to provision and
+    /// that needed a `RegenGraph` build + Yen run for the other
+    /// candidates.
     pub relay_misses: u64,
     /// Incremental (delta) circuit rebuilds performed.
     pub delta_builds: u64,
     /// Delta rebuilds refused outright (the desired topologies differ by
     /// more than the neighbor-move bound; a full rebuild follows).
     pub delta_fallbacks: u64,
-    /// Pairs whose previous circuits were reused verbatim by delta
-    /// rebuilds (no shortest-path work, no provisioning).
+    /// Pairs whose previous circuits delta rebuilds reused verbatim,
+    /// cleared by the dirty-set screen (no path search, no provisioning).
     pub delta_pairs_reused: u64,
     /// Pairs re-provisioned from scratch inside delta rebuilds (the
-    /// skip test found a regenerator or occupancy divergence).
+    /// screen found a regenerator or occupancy divergence, or the pair's
+    /// multiplicity changed).
     pub delta_pairs_rebuilt: u64,
-    /// The subset of `delta_pairs_reused` cleared by the dirty-set screen
-    /// alone — two bitset intersections against the recorded probe union,
-    /// with no relay-cache lookups and no attempt walk.
-    pub delta_pairs_screened: u64,
     /// Full circuit rebuilds (initial evaluations and fallbacks).
     pub full_builds: u64,
-    /// Plant-fingerprint flushes of the relay/footprint layers.
+    /// Plant-fingerprint flushes of the plant-scoped precompute.
     pub flushes: u64,
-    /// Relay misses by cause, indexed by position in
-    /// [`MissReason::RELAY`]; the six entries sum to `relay_misses`.
-    pub relay_miss_by_reason: [u64; 6],
-    /// Outcome-memo misses by attributed cause, same indexing plus
-    /// [`MissReason::Capacity`] in the final slot; the seven entries sum
-    /// to `outcome_misses`.
-    pub miss_by_reason: [u64; 7],
+    /// Outcome-memo misses by attributed cause, indexed by position in
+    /// [`MissReason::EVAL`]; the entries sum to `outcome_misses`.
+    pub miss_by_reason: [u64; 2],
 }
 
 impl EnergyCacheStats {
@@ -245,63 +165,29 @@ impl EnergyCacheStats {
         self.outcome_misses += other.outcome_misses;
         self.rate_hits += other.rate_hits;
         self.relay_hits += other.relay_hits;
-        self.relay_relaxed_hits += other.relay_relaxed_hits;
         self.relay_misses += other.relay_misses;
         self.delta_builds += other.delta_builds;
         self.delta_fallbacks += other.delta_fallbacks;
         self.delta_pairs_reused += other.delta_pairs_reused;
         self.delta_pairs_rebuilt += other.delta_pairs_rebuilt;
-        self.delta_pairs_screened += other.delta_pairs_screened;
         self.full_builds += other.full_builds;
         self.flushes += other.flushes;
-        for (a, b) in self
-            .relay_miss_by_reason
-            .iter_mut()
-            .zip(&other.relay_miss_by_reason)
-        {
-            *a += b;
-        }
         for (a, b) in self.miss_by_reason.iter_mut().zip(&other.miss_by_reason) {
             *a += b;
         }
     }
 
     pub(crate) fn count_eval_miss(&mut self, reason: MissReason) {
-        let idx = match reason {
-            MissReason::Capacity => 6,
-            r => MissReason::RELAY
-                .iter()
-                .position(|&x| x == r)
-                .expect("evaluation misses never attribute to Uncached here"),
-        };
+        let idx = MissReason::EVAL
+            .iter()
+            .position(|&r| r == reason)
+            .expect("cached evaluations never miss as uncached");
         self.miss_by_reason[idx] += 1;
     }
 
-    fn count_relay_miss(&mut self, reason: MissReason) {
-        let idx = MissReason::RELAY
-            .iter()
-            .position(|&r| r == reason)
-            .expect("relay misses use relay reasons");
-        self.relay_miss_by_reason[idx] += 1;
-    }
-
-    /// Relay misses by cause as `(slug, count)` pairs.
-    pub fn relay_miss_reasons(&self) -> [(&'static str, u64); 6] {
-        let mut out = [("", 0); 6];
-        for (i, r) in MissReason::RELAY.iter().enumerate() {
-            out[i] = (r.name(), self.relay_miss_by_reason[i]);
-        }
-        out
-    }
-
     /// Outcome-memo misses by attributed cause as `(slug, count)` pairs.
-    pub fn miss_reasons(&self) -> [(&'static str, u64); 7] {
-        let mut out = [("", 0); 7];
-        for (i, r) in MissReason::RELAY.iter().enumerate() {
-            out[i] = (r.name(), self.miss_by_reason[i]);
-        }
-        out[6] = (MissReason::Capacity.name(), self.miss_by_reason[6]);
-        out
+    pub fn miss_reasons(&self) -> [(&'static str, u64); 2] {
+        std::array::from_fn(|i| (MissReason::EVAL[i].name(), self.miss_by_reason[i]))
     }
 
     /// The largest attributed evaluation-miss cause, if any miss was
@@ -310,77 +196,7 @@ impl EnergyCacheStats {
         self.miss_reasons()
             .into_iter()
             .filter(|&(_, n)| n > 0)
-            .max_by_key(|&(_, n)| n)
-    }
-
-    /// Renders the per-run cache breakdown: hit/miss totals for each
-    /// layer, misses split by attributed cause, and the dominant cause
-    /// named on the last line.
-    pub fn format_breakdown(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let pct = |part: u64, whole: u64| {
-            if whole == 0 {
-                0.0
-            } else {
-                100.0 * part as f64 / whole as f64
-            }
-        };
-        let evals = self.outcome_hits + self.outcome_misses;
-        let _ = writeln!(
-            out,
-            "outcome memo   {:>10} hits {:>10} misses ({:.1}% hit)",
-            self.outcome_hits,
-            self.outcome_misses,
-            pct(self.outcome_hits, evals)
-        );
-        let relay_lookups = self.relay_hits + self.relay_relaxed_hits + self.relay_misses;
-        let _ = writeln!(
-            out,
-            "relay cache    {:>10} hits {:>10} relaxed {:>7} misses ({:.1}% hit)",
-            self.relay_hits,
-            self.relay_relaxed_hits,
-            self.relay_misses,
-            pct(self.relay_hits + self.relay_relaxed_hits, relay_lookups)
-        );
-        let _ = writeln!(
-            out,
-            "rate memo      {:>10} hits; builds: {} delta / {} full ({} fallbacks)",
-            self.rate_hits, self.delta_builds, self.full_builds, self.delta_fallbacks
-        );
-        let _ = writeln!(out, "eval misses by cause (sum = outcome misses):");
-        for (slug, n) in self.miss_reasons() {
-            let _ = writeln!(
-                out,
-                "  {:<24} {:>10} ({:.1}%)",
-                slug,
-                n,
-                pct(n, self.outcome_misses)
-            );
-        }
-        let _ = writeln!(out, "relay misses by cause (sum = relay misses):");
-        for (slug, n) in self.relay_miss_reasons() {
-            let _ = writeln!(
-                out,
-                "  {:<24} {:>10} ({:.1}%)",
-                slug,
-                n,
-                pct(n, self.relay_misses)
-            );
-        }
-        match self.dominant_miss_cause() {
-            Some((slug, n)) => {
-                let _ = writeln!(
-                    out,
-                    "dominant miss cause: {slug} ({n} of {} misses)",
-                    self.outcome_misses
-                );
-            }
-            None => {
-                let _ = writeln!(out, "dominant miss cause: none (no misses recorded)");
-            }
-        }
-        out
+            .reduce(|best, x| if x.1 > best.1 { x } else { best })
     }
 }
 
@@ -421,21 +237,19 @@ pub fn plant_fingerprint(plant: &FiberPlant) -> u64 {
 /// Plant-scoped, vector-independent precompute shared by every run and
 /// every parallel chain's cache (`Arc`-shared, immutable once built):
 ///
-/// - the **static-interior Floyd–Warshall matrix** `sd`: `sd[x][y]` is a
-///   lower bound on the summed relay weight strictly between `x` and `y`
-///   on any relay path, valid under every free-regenerator vector (static
-///   weights `1/total` under-estimate dynamic `1/free`) — the screen the
-///   relaxed match rests on, formerly rebuilt per cache;
+/// - the **within-reach table**: `fiber_dist[x][y] ≤ reach`, the edge test
+///   of every regenerator graph, which lets [`Self::first_relay_path`]
+///   search the graph without building it;
 /// - the per-pair **relay domains**: for a pair `(u, v)`, the sites
-///   `s ∉ {u, v}` with `total_regens[s] > 0` and `sd[u][s]`, `sd[s][v]`
-///   both finite. Finite `sd[u][s]` means a reach-graph path from `u` to
-///   `s` exists whose interior sites are all regenerator-equipped —
-///   exactly the criterion for `s` to appear on *some* relay path under
-///   *some* vector (`free ≤ total`, so static reachability over-covers
-///   every dynamic one). A site outside the domain is never a node the
-///   pair's Dijkstra/Yen run can pop or relax through on a returned path,
-///   so its free count cannot influence the output: two vectors with
-///   equal domain projections yield bit-identical candidate lists.
+///   `s ∉ {u, v}` with regenerators that some within-reach walk from `u`
+///   to `v` through regenerator-equipped interiors visits. Only those
+///   sites can appear on *some* relay path under *some* free-regenerator
+///   vector (`free ≤ total`, so the static walks over-cover every dynamic
+///   one). A site outside the domain is never a node the pair's
+///   Dijkstra/Yen run can put on a returned path, and node indexing is
+///   monotone in site id, so its free count cannot influence the output:
+///   two vectors with equal domain projections yield bit-identical
+///   candidate lists.
 ///
 /// Invalidation piggybacks on the plant fingerprint: a degradation that
 /// moves the fingerprint (e.g. an amp fault shrinking a fiber's usable
@@ -444,43 +258,37 @@ pub fn plant_fingerprint(plant: &FiberPlant) -> u64 {
 pub struct PlantCache {
     sig: u64,
     n: usize,
-    static_interior: Vec<Vec<f64>>,
-    /// Relay domain per unordered pair, indexed `min * n + max` (the
-    /// domain is symmetric in `u`, `v` because `sd` is).
+    /// `within[x * n + y]`: `fiber_dist[x][y] ≤ reach`.
+    within: Vec<bool>,
+    /// Relay domain per unordered pair, indexed `min * n + max`.
     domains: Vec<Vec<SiteId>>,
 }
 
 impl PlantCache {
-    /// Builds the precompute: one node-weighted Floyd–Warshall (`O(V^3)`)
-    /// pivoting on regenerator-equipped sites with weight `1/total`, edges
-    /// wherever the fiber distance is within optical reach, then the
-    /// per-pair domains read off the matrix.
+    /// Builds the precompute: the within-reach table, then one boolean
+    /// Floyd–Warshall (`O(V^3)`) pivoting on regenerator-equipped sites
+    /// over the reach graph, from which the per-pair domains are read.
     pub fn build(plant: &FiberPlant, fiber_dist: &[Vec<f64>]) -> Self {
         let n = plant.site_count();
         let reach = plant.params().optical_reach_km;
-        let mut d = vec![vec![f64::INFINITY; n]; n];
-        for (x, row) in d.iter_mut().enumerate() {
-            for (y, cell) in row.iter_mut().enumerate() {
-                if x == y || fiber_dist[x][y] <= reach {
-                    *cell = 0.0;
-                }
-            }
-        }
-        for (k, site) in plant.sites().iter().enumerate() {
-            if site.regenerators == 0 {
-                continue;
-            }
-            let w = 1.0 / site.regenerators as f64;
+        let within: Vec<bool> = (0..n * n)
+            .map(|i| fiber_dist[i / n][i % n] <= reach)
+            .collect();
+        // `walk[x * n + y]`: a within-reach walk from `x` to `y` exists
+        // whose interior sites all have regenerators. Hops are tested in
+        // both orientations, so a last-bit asymmetry in `fiber_dist` can
+        // only widen a domain, never narrow it.
+        let mut walk: Vec<bool> = (0..n * n)
+            .map(|i| {
+                let (x, y) = (i / n, i % n);
+                x == y || within[i] || within[y * n + x]
+            })
+            .collect();
+        for k in (0..n).filter(|&k| plant.site(k).regenerators > 0) {
             for i in 0..n {
-                if !d[i][k].is_finite() {
-                    continue;
-                }
-                let dik = d[i][k] + w;
-                #[allow(clippy::needless_range_loop)] // reads d[k][j], writes d[i][j]
-                for j in 0..n {
-                    let cand = dik + d[k][j];
-                    if cand < d[i][j] {
-                        d[i][j] = cand;
+                if walk[i * n + k] {
+                    for j in 0..n {
+                        walk[i * n + j] |= walk[k * n + j];
                     }
                 }
             }
@@ -488,22 +296,21 @@ impl PlantCache {
         let mut domains = vec![Vec::new(); n * n];
         for u in 0..n {
             for v in u + 1..n {
-                let dom: Vec<SiteId> = (0..n)
+                domains[u * n + v] = (0..n)
                     .filter(|&s| {
                         s != u
                             && s != v
                             && plant.site(s).regenerators > 0
-                            && d[u][s].is_finite()
-                            && d[s][v].is_finite()
+                            && walk[u * n + s]
+                            && walk[s * n + v]
                     })
                     .collect();
-                domains[u * n + v] = dom;
             }
         }
         PlantCache {
             sig: plant_fingerprint(plant),
             n,
-            static_interior: d,
+            within,
             domains,
         }
     }
@@ -519,357 +326,83 @@ impl PlantCache {
         &self.domains[a * self.n + b]
     }
 
-    /// The static-interior distance matrix.
-    pub fn static_interior(&self) -> &[Vec<f64>] {
-        &self.static_interior
-    }
-}
-
-/// Constraint-class hash of a free-regenerator vector for one pair: FNV-1a
-/// over the counts at the pair's relay-domain sites, in domain order. Two
-/// vectors hash equal whenever their domain projections are equal; the
-/// converse is only probabilistic, so class hits verify the projection
-/// site-for-site before being trusted.
-fn class_hash(domain: &[SiteId], regens_free: &[u32]) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    for &s in domain {
-        for byte in (regens_free[s] as u64).to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    }
-    h
-}
-
-/// One cached relay-candidate computation: the exact regenerator vector it
-/// was computed under, the Yen output, and the *probe set* — every fiber
-/// any of the candidates' window routes traverses. A provisioning attempt
-/// that iterates this candidate list reads (and possibly writes) channel
-/// occupancy only on probe-set fibers, which is what lets the delta
-/// rebuild prove two links cannot observe each other's channels.
-#[derive(Debug, Clone)]
-struct RelayEntry {
-    regens: Vec<u32>,
-    candidates: Vec<Vec<SiteId>>,
-    /// Yen cost of each candidate, aligned with `candidates`.
-    costs: Vec<f64>,
-    probe: FiberSet,
-    /// Yen cost of the best path *not* in `candidates` (the `k+1`-th
-    /// shortest, computed alongside), or `+inf` when the path set is
-    /// exhausted. Every path outside `candidates` costs at least this
-    /// much under the stored vector.
-    next_cost: f64,
-}
-
-/// An entry in the constraint-class index: the entry it resolves to plus
-/// the domain projection the proof was made under. The projection is the
-/// *query's*, not the entry's — a relaxed match can prove an entry built
-/// under a different projection still yields the query's Yen output, and
-/// every later query with that same projection inherits the proof (equal
-/// projections produce identical Yen runs, the class-key theorem). Without
-/// the stored projection, verifying such an alias against the entry's own
-/// vector would spuriously reject it on every revisit.
-#[derive(Debug, Clone)]
-struct ClassAlias {
-    /// Sequence number (`base` + offset) of the resolved entry.
-    seq: u64,
-    /// The free-regenerator counts at the pair's domain sites, in domain
-    /// order, that this class was proven for.
-    proj: Vec<u32>,
-}
-
-/// Aliases kept per pair before the index is reset wholesale. Each alias
-/// owns a domain-sized projection, so unbounded growth would leak on long
-/// runs; re-proving an evicted alias is one relaxed scan.
-const CLASS_ALIASES_PER_PAIR: usize = 4096;
-
-/// The relay entries of one endpoint pair: a FIFO of at most
-/// [`RELAY_STATES_PER_PAIR`] entries plus the constraint-class index over
-/// them. Entries are addressed by *sequence number* (`base` + offset) so
-/// FIFO eviction never invalidates index entries — a class mapping whose
-/// sequence fell below `base` points at an evicted entry and is purged
-/// lazily on lookup.
-#[derive(Debug, Clone, Default)]
-struct PairEntries {
-    entries: VecDeque<RelayEntry>,
-    /// Sequence number of `entries.front()`.
-    base: u64,
-    /// Constraint-class hash → proven resolution (latest proof wins).
-    by_class: HashMap<u64, ClassAlias>,
-}
-
-impl PairEntries {
-    /// Records that the class with hash `class` and projection `proj`
-    /// resolves to the entry at `seq`.
-    fn alias(&mut self, class: u64, seq: u64, proj: Vec<u32>) {
-        if self.by_class.len() >= CLASS_ALIASES_PER_PAIR {
-            self.by_class.clear();
-        }
-        self.by_class.insert(class, ClassAlias { seq, proj });
-    }
-
-    /// Pushes a fresh entry (evicting the oldest at the cap) and indexes
-    /// it under `class` with projection `proj`; returns its offset in
-    /// `entries`.
-    fn push(&mut self, class: u64, proj: Vec<u32>, entry: RelayEntry) -> usize {
-        if self.entries.len() >= RELAY_STATES_PER_PAIR {
-            self.entries.pop_front();
-            self.base += 1;
-        }
-        self.entries.push_back(entry);
-        let seq = self.base + (self.entries.len() - 1) as u64;
-        self.alias(class, seq, proj);
-        self.entries.len() - 1
-    }
-}
-
-/// Slack for every relaxed-match weight comparison: absorbs f64
-/// summation-order error between adjusted costs, the static bound, and
-/// Yen's own path sums. Comparisons are arranged so the slack only ever
-/// makes the match *more* conservative.
-const RELAX_EPS: f64 = 1e-9;
-
-/// Decides whether the entry, computed under its stored `relay_k` and
-/// vector `v1`, provably yields the same Yen output (same paths, same
-/// order) under the queried vector `v2`. A path's cost is the sum of its
-/// relay weights (`1/free`), so each stored candidate's cost under `v2`
-/// is its stored cost plus the weight deltas of changed sites it relays
-/// through. The match accepts when:
-///
-/// - no site is released from zero free regenerators while the stored
-///   candidate list is *shorter* than `relay_k` — a short list means Yen
-///   exhausted the path set, so a fresh run returns every path it finds
-///   and would append the released site's paths *regardless of cost*; no
-///   cost screen below can rule that out;
-/// - membership (`free > 0`) is unchanged at every changed site — the
-///   node set, and hence the node indexing every deterministic tie-break
-///   rests on, is then identical (the pair's own endpoints are skipped:
-///   the regenerator graph excludes them and weighs them zero);
-/// - the adjusted candidate costs preserve the stored order *strictly*
-///   (`RELAX_EPS`-separated), or keep exact ties only between candidates
-///   whose costs did not move at all (their cost-then-lexicographic
-///   order is then decided exactly as before);
-/// - no path outside the stored candidates can undercut the adjusted last
-///   candidate: outside paths cost at least `next_cost` under `v1`, minus
-///   at most the total weight drop of released sites — excluding sites
-///   *screened* by the static interior bound `sd[u][s] + 1/free[s] +
-///   sd[s][v]`, a vector-independent lower bound on any `u–v` path
-///   through `s` that already clears the adjusted last cost.
-///
-/// Under these conditions every path cheaper than some candidate is
-/// itself a candidate, strictly separated from the outside, so Yen
-/// selects exactly the stored list in the stored order.
-fn relaxed_entry_match(
-    e: &RelayEntry,
-    relay_k: usize,
-    regens_free: &[u32],
-    u: SiteId,
-    v: SiteId,
-    sd: &[Vec<f64>],
-) -> bool {
-    relaxed_entry_reject(e, relay_k, regens_free, u, v, sd).is_none()
-}
-
-/// [`relaxed_entry_match`] with attribution: `None` accepts the entry,
-/// `Some(reason)` names which screen refused it — the per-reason miss
-/// counters of the taxonomy are built from these reject points.
-fn relaxed_entry_reject(
-    e: &RelayEntry,
-    relay_k: usize,
-    regens_free: &[u32],
-    u: SiteId,
-    v: SiteId,
-    sd: &[Vec<f64>],
-) -> Option<MissReason> {
-    let mut changed: Vec<SiteId> = Vec::new(); // member in both, weight moved
-    let mut entered: Vec<SiteId> = Vec::new(); // 0 regens → free (node appears)
-    let mut left: Vec<SiteId> = Vec::new(); // free → 0 regens (node vanishes)
-    for (s, (&r1, &r2)) in e.regens.iter().zip(regens_free).enumerate() {
-        if r1 == r2 || s == u || s == v {
-            continue;
-        }
-        match (r1 > 0, r2 > 0) {
-            (true, true) => changed.push(s),
-            (false, true) => entered.push(s),
-            (true, false) => left.push(s),
-            (false, false) => unreachable!("r1 != r2"),
-        }
-    }
-    if changed.is_empty() && entered.is_empty() && left.is_empty() {
-        return None;
-    }
-    // A list shorter than `relay_k` means Yen exhausted the path set
-    // (`next_cost` is infinite): a fresh run under `v2` would *append*
-    // every path through a released site no matter how much it costs, so
-    // the screens below — which only guard the top-k boundary — cannot
-    // apply. (This subsumes the empty-list case handled further down.)
-    if !entered.is_empty() && e.candidates.len() < relay_k {
-        return Some(MissReason::PartialCandidateList);
-    }
-
-    // Node indexing shifts when membership changes, but it stays monotone
-    // in site id, so every *relative* index comparison — Dijkstra pop
-    // order, Yen's pool lexicographic tie-break — is preserved across the
-    // shift. Membership changes therefore reduce to path-set changes: a
-    // site consumed to zero removes exactly the paths through it, and a
-    // site released from zero adds them. Either is safe when the site
-    // relays no candidate and the static bound keeps every path through it
-    // strictly above the boundary — nothing within the top-k appears,
-    // disappears, or changes a tie it participates in. (Strictly above
-    // matters even for *removed* paths: Yen's tie selection is
-    // pool-dependent, and a removed boundary-tied path can unhide an
-    // equal-cost path behind its spur point.)
-    for &s in &left {
-        if e.candidates.iter().any(|c| c[1..c.len() - 1].contains(&s)) {
-            // A candidate path just became invalid.
-            return Some(MissReason::MembershipCrossing);
-        }
-    }
-
-    // Adjusted candidate costs under the queried vector. Three exactness
-    // classes: an *unchanged* candidate keeps its stored cost, which is
-    // bit-for-bit what a fresh run computes for it (the fresh run walks
-    // the identical generation sequence over identical weights); a moved
-    // *single-relay* candidate's cost is recomputed outright — one
-    // division, no summation, so again bit-exact; a moved multi-relay
-    // adjustment carries rounding error and is only trusted to
-    // `RELAX_EPS`.
-    let k = e.candidates.len();
-    let mut adjusted = e.costs.clone();
-    let mut moved = vec![false; k];
-    let mut exact = vec![false; k];
-    for i in 0..k {
-        let interior = &e.candidates[i][1..e.candidates[i].len() - 1];
-        let mut d = 0.0;
-        for &s in interior {
-            if changed.binary_search(&s).is_ok() {
-                d += 1.0 / regens_free[s] as f64 - 1.0 / e.regens[s] as f64;
-            }
-        }
-        if d == 0.0 {
-            exact[i] = true;
-        } else {
-            moved[i] = true;
-            if interior.len() == 1 {
-                adjusted[i] = 1.0 / regens_free[interior[0]] as f64;
-                exact[i] = true;
-            } else {
-                adjusted[i] = e.costs[i] + d;
-            }
-        }
-    }
-
-    // Single-relay hub, if the candidate is one.
-    let hub = |i: usize| -> Option<SiteId> {
-        let c = &e.candidates[i];
-        (c.len() == 3).then(|| c[1])
-    };
-
-    // Order preservation among the candidates: consecutive costs must stay
-    // strictly separated, except that *exact* ties between single-relay
-    // candidates are allowed in increasing hub-id order. Node indexing in
-    // the regenerator graph is fixed by membership (unchanged) and
-    // monotone in site id, so hub order is simultaneously the Dijkstra
-    // pop-order tie-break and Yen's pool lexicographic tie-break: a
-    // hub-ordered tied group is selected in exactly the stored order.
-    for i in 1..k {
-        if !moved[i - 1] && !moved[i] {
-            continue;
-        }
-        if adjusted[i - 1] + RELAX_EPS < adjusted[i] {
-            continue;
-        }
-        if exact[i - 1] && exact[i] {
-            if adjusted[i - 1] < adjusted[i] {
+    /// The first relay path for a circuit from `u` to `v` under
+    /// `regens_free`: exactly
+    /// `RegenGraph::build_with_free_regens(..).relay_candidates(k)[0]` for
+    /// any `k ≥ 1`, and `None` exactly when that list is empty.
+    ///
+    /// The regenerator graph stays implicit. Its nodes are `[u, v, sites
+    /// with free regenerators, ascending]`; two nodes are joined when the
+    /// within-reach table says so, read in the orientation the graph build
+    /// reads `fiber_dist` (lower node index first); each edge weighs its
+    /// head node (0 for the endpoints, `1/free` otherwise). Yen's first
+    /// path is the destination-targeted Dijkstra `shortest_path_filtered_to`
+    /// on that graph, and this search repeats it step for step: the heap
+    /// pops the least `(distance, node)`, neighbors relax in ascending node
+    /// order, only a strict improvement moves a predecessor, and the search
+    /// stops when `v` settles.
+    pub fn first_relay_path(
+        &self,
+        regens_free: &[u32],
+        u: SiteId,
+        v: SiteId,
+    ) -> Option<Vec<SiteId>> {
+        let n = self.n;
+        let mut sites = Vec::with_capacity(n);
+        sites.extend([u, v]);
+        sites.extend((0..n).filter(|&s| s != u && s != v && regens_free[s] > 0));
+        let m = sites.len();
+        let mut dist = vec![f64::INFINITY; m];
+        let mut pred = vec![0; m];
+        let mut done = vec![false; m];
+        // Non-negative doubles order like their bit patterns, so the key
+        // `(bits, node)` pops in the graph crate's `(distance, node)` order.
+        let mut heap = BinaryHeap::new();
+        dist[0] = 0.0;
+        heap.push(Reverse((0.0f64.to_bits(), 0)));
+        while let Some(Reverse((bits, i))) = heap.pop() {
+            if done[i] {
                 continue;
             }
-            if adjusted[i - 1] == adjusted[i] {
-                if let (Some(a), Some(b)) = (hub(i - 1), hub(i)) {
-                    if a < b {
-                        continue;
-                    }
-                }
+            done[i] = true;
+            if i == 1 {
+                break;
             }
-        }
-        return Some(MissReason::ClassCollision);
-    }
-
-    // Boundary: can any path outside the stored candidates undercut (or
-    // tie-displace) the adjusted last candidate?
-    let Some(&last) = adjusted.last() else {
-        // No relay path exists under the stored vector. Weight changes
-        // cannot create one (connectivity depends only on membership), but
-        // a released node can.
-        return (!entered.is_empty()).then_some(MissReason::MembershipCrossing);
-    };
-    // Membership crossings must clear the boundary statically (the site
-    // already relays no candidate: checked above for vanished nodes,
-    // impossible for appearing ones).
-    for &s in &entered {
-        if sd[u][s] + 1.0 / regens_free[s] as f64 + sd[s][v] <= last + RELAX_EPS {
-            return Some(MissReason::MembershipCrossing);
-        }
-    }
-    for &s in &left {
-        if sd[u][s] + 1.0 / e.regens[s] as f64 + sd[s][v] <= last + RELAX_EPS {
-            return Some(MissReason::MembershipCrossing);
-        }
-    }
-    let max_free = regens_free.iter().copied().max().unwrap_or(1).max(1);
-    let wmin = 1.0 / max_free as f64;
-    // Screens a site whose paths got cheaper (weight drop, or a released
-    // node appearing): true when no path through `s` can enter or
-    // tie-displace the top-k.
-    let screened = |s: SiteId, w: f64| -> bool {
-        if sd[u][s] + w + sd[s][v] > last + RELAX_EPS {
-            return true; // statically screened
-        }
-        // Exact screen: when `s` neighbors both endpoints and any longer
-        // path through it clears the boundary (a second relay adds at
-        // least `wmin`), the only potential entrant is `[u, s, v]` at the
-        // bit-exact cost `w`.
-        if sd[u][s] == 0.0 && sd[s][v] == 0.0 && w + wmin > last + RELAX_EPS {
-            if e.candidates.iter().any(|c| c.len() == 3 && c[1] == s) {
-                return true; // already a candidate; its move was order-checked
-            }
-            // `[u, s, v]` stays outside the top-k iff it sorts after every
-            // candidate: strictly costlier than the (sorted) last, or tied
-            // only with single-relay candidates of smaller hub id.
-            if exact[k - 1] && adjusted[k - 1] < w {
-                return true;
-            }
-            return (0..k).all(|i| {
-                if exact[i] {
-                    adjusted[i] < w || (adjusted[i] == w && hub(i).is_some_and(|h| h < s))
+            let d = f64::from_bits(bits);
+            for j in 0..m {
+                let (a, b) = if i < j {
+                    (sites[i], sites[j])
                 } else {
-                    adjusted[i] + RELAX_EPS < w
+                    (sites[j], sites[i])
+                };
+                if done[j] || !self.within[a * n + b] {
+                    continue;
                 }
-            });
+                let w = if j < 2 {
+                    0.0
+                } else {
+                    1.0 / regens_free[sites[j]] as f64
+                };
+                let nd = d + w;
+                if nd < dist[j] {
+                    dist[j] = nd;
+                    pred[j] = i;
+                    heap.push(Reverse((nd.to_bits(), j)));
+                }
+            }
         }
-        false
-    };
-    let mut unscreened_drop = 0.0f64;
-    for &s in &changed {
-        let (r1, r2) = (e.regens[s], regens_free[s]);
-        if r2 <= r1 {
-            // Weight rose: through-`s` paths only got heavier, and strict
-            // relaxation keeps them from stealing any tie they previously
-            // lost.
-            continue;
+        if !done[1] {
+            return None;
         }
-        let w = 1.0 / r2 as f64;
-        if !screened(s, w) {
-            unscreened_drop += 1.0 / r1 as f64 - w;
+        let mut path = vec![v];
+        let mut cur = 1;
+        while cur != 0 {
+            cur = pred[cur];
+            path.push(sites[cur]);
         }
+        path.reverse();
+        Some(path)
     }
-    if unscreened_drop == 0.0 && adjusted[k - 1] <= e.costs[k - 1] {
-        // Nothing can enter from outside and the boundary didn't rise:
-        // the last candidate keeps winning whatever tie it already won.
-        return None;
-    }
-    (last + RELAX_EPS >= e.next_cost - unscreened_drop).then_some(MissReason::BoundaryGuard)
 }
 
 /// The layered evaluation cache. See the module docs for the layer
@@ -879,26 +412,14 @@ fn relaxed_entry_reject(
 /// cache, which keeps chains bit-for-bit independent of scheduling.
 #[derive(Debug, Clone, Default)]
 pub struct EnergyCache {
-    /// Fingerprint the plant-scoped layers were built under.
+    /// Fingerprint of the plant the current run evaluates on.
     plant_sig: Option<u64>,
-    /// `relay_candidates` count the entries were computed with.
-    relay_k: usize,
-    /// Free regenerators per site of the *pristine* plant (the regen state
-    /// footprints are defined under).
-    initial_regens: Vec<u32>,
-    /// Relay-candidate entries per endpoint pair, class-indexed.
-    relay: HashMap<(SiteId, SiteId), PairEntries>,
-    /// Fiber footprints per endpoint pair (valid under `initial_regens`).
-    footprints: HashMap<(SiteId, SiteId), FiberSet>,
-    /// Directional shortest-route fiber sets (plant-only, used to build
-    /// footprints).
-    routes: HashMap<(SiteId, SiteId), Vec<usize>>,
-    /// Plant-scoped precompute (static-interior screens + relay domains),
+    /// Plant-scoped precompute (within-reach table + relay domains),
     /// `Arc`-shared across chains when a parallel run installs one.
     plant: Option<Arc<PlantCache>>,
     /// A shared precompute offered by the enclosing parallel run via
-    /// [`Self::install_plant_cache`]; adopted by [`Self::begin_run`] when
-    /// its fingerprint matches, so sibling chains never rebuild it.
+    /// [`Self::install_plant_cache`]; adopted on first use when its
+    /// fingerprint matches, so sibling chains never rebuild it.
     shared_plant: Option<Arc<PlantCache>>,
     /// Run-scoped: full outcomes keyed by desired topology. `Arc`-shared
     /// with the annealing loop's current/best snapshots, so a hit (and a
@@ -911,10 +432,6 @@ pub struct EnergyCache {
     /// miss, not a cold one. Itself capped (see [`OVERFLOW_CAP`]); beyond
     /// that the attribution degrades to `cold`, never miscounts.
     overflow: HashSet<Topology>,
-    /// Pairs that held relay entries when a plant-fingerprint flush wiped
-    /// the relay layer: their next entry-less miss is attributed to the
-    /// flush rather than to cold start.
-    flushed_pairs: HashSet<(SiteId, SiteId)>,
     /// Effectiveness counters.
     pub stats: EnergyCacheStats,
 }
@@ -926,29 +443,23 @@ impl EnergyCache {
     }
 
     /// Prepares the cache for one evaluation run (one annealing call):
-    /// clears the run-scoped memos unconditionally, and flushes the
-    /// plant-scoped layers if the plant content or the relay-candidate
-    /// count changed since they were built. `fiber_dist` passed to the
-    /// other methods must always be `plant.fiber_distance_matrix()`.
-    pub fn begin_run(&mut self, plant: &FiberPlant, config: &CircuitBuildConfig) {
+    /// clears the run-scoped memos unconditionally, and drops the
+    /// plant-scoped precompute if the plant content changed since it was
+    /// built. `fiber_dist` passed to the builders must always be
+    /// `plant.fiber_distance_matrix()`.
+    pub fn begin_run(&mut self, plant: &FiberPlant) {
         self.outcomes.clear();
         self.rate_memo.clear();
         self.overflow.clear();
         let sig = plant_fingerprint(plant);
-        if self.plant_sig == Some(sig) && self.relay_k == config.relay_candidates {
+        if self.plant_sig == Some(sig) {
             return;
         }
         if self.plant_sig.is_some() {
             self.stats.flushes += 1;
-            self.flushed_pairs.extend(self.relay.keys().copied());
         }
         self.plant_sig = Some(sig);
-        self.relay_k = config.relay_candidates;
-        self.relay.clear();
-        self.footprints.clear();
-        self.routes.clear();
         self.plant = None;
-        self.initial_regens = plant.sites().iter().map(|s| s.regenerators).collect();
     }
 
     /// Offers a shared [`PlantCache`] built by the enclosing run. The
@@ -969,9 +480,9 @@ impl EnergyCache {
             .cloned()
     }
 
-    /// Returns the plant-scoped precompute, adopting the shared one or
-    /// building a fresh one on first use after a flush.
-    fn ensure_plant_cache(
+    /// The plant-scoped precompute, adopting the shared one or building a
+    /// fresh one on first use after a flush.
+    pub(crate) fn plant_precompute(
         &mut self,
         plant: &FiberPlant,
         fiber_dist: &[Vec<f64>],
@@ -988,266 +499,6 @@ impl EnergyCache {
             .unwrap_or_else(|| Arc::new(PlantCache::build(plant, fiber_dist)));
         self.plant = Some(Arc::clone(&pc));
         pc
-    }
-
-    /// Free regenerators per site of the pristine plant the cache was
-    /// prepared for (set by [`Self::begin_run`]).
-    pub fn initial_regens(&self) -> &[u32] {
-        &self.initial_regens
-    }
-
-    /// Finds or computes the relay entry for `(u, v)` under the given
-    /// free-regenerator vector, returning its index in the pair's entry
-    /// list. The lookup goes constraint class first: the vector's domain
-    /// projection is hashed and the class index consulted, with the
-    /// projection verified site-for-site (see [`PlantCache`] for why
-    /// projection equality implies identical Yen output). On a class miss
-    /// the entries are scanned with the relaxed match, which may prove an
-    /// entry built under a *different* projection still yields the same
-    /// output — either way the returned entry's candidate list is exactly
-    /// what a fresh Yen run would produce.
-    fn relay_entry_index(
-        &mut self,
-        plant: &FiberPlant,
-        fiber_dist: &[Vec<f64>],
-        regens_free: &[u32],
-        u: SiteId,
-        v: SiteId,
-        telemetry: &CoreTelemetry,
-    ) -> usize {
-        let pc = self.ensure_plant_cache(plant, fiber_dist);
-        let domain = pc.domain(u, v);
-        let class = class_hash(domain, regens_free);
-        let relay_k = self.relay_k;
-        let sd = pc.static_interior();
-        let mut collision = false;
-        {
-            let pair = self.relay.entry((u, v)).or_default();
-            if let Some(alias) = pair.by_class.get(&class) {
-                if alias.seq >= pair.base {
-                    // Verify against the projection the alias was PROVEN
-                    // for — not the entry's own vector, which may differ
-                    // when the proof came from the relaxed matcher. Equal
-                    // projections run identical Yen searches, so the proof
-                    // transfers to this query verbatim.
-                    if domain
-                        .iter()
-                        .zip(&alias.proj)
-                        .all(|(&s, &p)| regens_free[s] == p)
-                    {
-                        let off = (alias.seq - pair.base) as usize;
-                        self.stats.relay_hits += 1;
-                        return off;
-                    }
-                    // Same hash, different projection: a genuine FNV
-                    // collision. Fall through to the relaxed scan.
-                    collision = true;
-                } else {
-                    // The mapped entry was FIFO-evicted; purge lazily.
-                    pair.by_class.remove(&class);
-                }
-            }
-            if let Some(off) = pair
-                .entries
-                .iter()
-                .position(|e| relaxed_entry_match(e, relay_k, regens_free, u, v, sd))
-            {
-                self.stats.relay_relaxed_hits += 1;
-                // Alias this class to the proven entry so the next query
-                // under the same projection hits on the fast path.
-                let proj: Vec<u32> = domain.iter().map(|&s| regens_free[s]).collect();
-                let seq = pair.base + off as u64;
-                pair.alias(class, seq, proj);
-                return off;
-            }
-        }
-        self.stats.relay_misses += 1;
-        // Attribute the miss: a failed class verification is a collision;
-        // otherwise entries exist → the reject reason of the most recently
-        // stored one (the entry a fresh hit would most plausibly have
-        // matched); none → flush if a fingerprint flush wiped this pair,
-        // cold otherwise.
-        let reason = if collision {
-            MissReason::ClassCollision
-        } else {
-            match self.relay.get(&(u, v)).and_then(|p| p.entries.back()) {
-                Some(e) => relaxed_entry_reject(e, relay_k, regens_free, u, v, sd)
-                    .unwrap_or(MissReason::Cold),
-                None if self.flushed_pairs.contains(&(u, v)) => MissReason::Flush,
-                None => MissReason::Cold,
-            }
-        };
-        self.stats.count_relay_miss(reason);
-        telemetry.shortest_path_calls.incr();
-        let rg = RegenGraph::build_with_free_regens(plant, regens_free, fiber_dist, u, v);
-        // Compute one path beyond the candidate count: Yen grows its found
-        // list incrementally, so the first `relay_k` paths are exactly what
-        // a `relay_k`-run would return, and the extra path's cost bounds
-        // every path outside the candidate list for the relaxed match.
-        let mut with_costs = rg.relay_candidates_with_costs(self.relay_k + 1);
-        let next_cost = if with_costs.len() > self.relay_k {
-            with_costs.pop().expect("k+1 paths").1
-        } else {
-            f64::INFINITY
-        };
-        let costs: Vec<f64> = with_costs.iter().map(|(_, c)| *c).collect();
-        let candidates: Vec<Vec<SiteId>> = with_costs.into_iter().map(|(p, _)| p).collect();
-        let mut probe = FiberSet::new(plant.fiber_count());
-        for cand in &candidates {
-            for w in cand.windows(2) {
-                let fibers = self.routes.entry((w[0], w[1])).or_insert_with(|| {
-                    plant
-                        .shortest_fiber_route(w[0], w[1])
-                        .map(|(fibers, _, _)| fibers)
-                        .unwrap_or_default()
-                });
-                for &f in fibers.iter() {
-                    probe.insert(f);
-                }
-            }
-        }
-        let proj: Vec<u32> = domain.iter().map(|&s| regens_free[s]).collect();
-        self.relay.entry((u, v)).or_default().push(
-            class,
-            proj,
-            RelayEntry {
-                regens: regens_free.to_vec(),
-                candidates,
-                costs,
-                probe,
-                next_cost,
-            },
-        )
-    }
-
-    /// Delta-rebuild skip-test helper: proves one provisioning attempt for
-    /// `(u, v)` would behave identically under the live vector `v_live`
-    /// and the replayed previous-build vector `v_rep` — i.e. both produce
-    /// the same candidate list. Returns that list's probe set (the fibers
-    /// whose channel occupancy must then also match) on success.
-    ///
-    /// Fast path: when the two vectors agree on the pair's relay domain,
-    /// equivalence holds outright (see [`PlantCache`]) and a single
-    /// class-keyed lookup serves the probe set. Only when the projections
-    /// differ do both vectors get looked up and their candidate lists
-    /// compared by value.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn attempt_equivalent(
-        &mut self,
-        plant: &FiberPlant,
-        fiber_dist: &[Vec<f64>],
-        v_live: &[u32],
-        v_rep: &[u32],
-        u: SiteId,
-        v: SiteId,
-        telemetry: &CoreTelemetry,
-    ) -> Option<FiberSet> {
-        let pc = self.ensure_plant_cache(plant, fiber_dist);
-        let domain = pc.domain(u, v);
-        if domain.iter().all(|&s| v_live[s] == v_rep[s]) {
-            let i = self.relay_entry_index(plant, fiber_dist, v_live, u, v, telemetry);
-            return Some(self.relay[&(u, v)].entries[i].probe.clone());
-        }
-        let i = self.relay_entry_index(plant, fiber_dist, v_live, u, v, telemetry);
-        let e = &self.relay[&(u, v)].entries[i];
-        let (cand_live, probe) = (e.candidates.clone(), e.probe.clone());
-        // The second lookup may insert (and thus evict), so compare by
-        // value, not by the first index.
-        let j = self.relay_entry_index(plant, fiber_dist, v_rep, u, v, telemetry);
-        (self.relay[&(u, v)].entries[j].candidates == cand_live).then_some(probe)
-    }
-
-    /// Relay candidates for a circuit `(u, v)` under the given
-    /// free-regenerator vector — the cached equivalent of
-    /// `RegenGraph::build(..).relay_candidates(k)`. A hit requires the
-    /// stored regenerator vector to match verbatim, so the returned list
-    /// is always identical to what a fresh build would produce.
-    /// `telemetry.shortest_path_calls` counts misses only: it keeps
-    /// measuring shortest-path work actually performed.
-    pub fn relay_candidates(
-        &mut self,
-        plant: &FiberPlant,
-        fiber_dist: &[Vec<f64>],
-        regens_free: &[u32],
-        u: SiteId,
-        v: SiteId,
-        telemetry: &CoreTelemetry,
-    ) -> Vec<Vec<SiteId>> {
-        let idx = self.relay_entry_index(plant, fiber_dist, regens_free, u, v, telemetry);
-        self.relay[&(u, v)].entries[idx].candidates.clone()
-    }
-
-    /// [`Self::relay_candidates`] plus the entry's probe set, from a single
-    /// lookup — the builders record the probes so a later delta rebuild can
-    /// clear its dirty-set screen without consulting the cache at all.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn relay_candidates_and_probe(
-        &mut self,
-        plant: &FiberPlant,
-        fiber_dist: &[Vec<f64>],
-        regens_free: &[u32],
-        u: SiteId,
-        v: SiteId,
-        telemetry: &CoreTelemetry,
-    ) -> (Vec<Vec<SiteId>>, FiberSet) {
-        let idx = self.relay_entry_index(plant, fiber_dist, regens_free, u, v, telemetry);
-        let e = &self.relay[&(u, v)].entries[idx];
-        (e.candidates.clone(), e.probe.clone())
-    }
-
-    /// The plant-scoped precompute (relay domains + static screens),
-    /// adopting or building it on first use — the delta rebuild reads pair
-    /// domains from it for the dirty-site screen.
-    pub(crate) fn plant_precompute(
-        &mut self,
-        plant: &FiberPlant,
-        fiber_dist: &[Vec<f64>],
-    ) -> Arc<PlantCache> {
-        self.ensure_plant_cache(plant, fiber_dist)
-    }
-
-    /// The probe set of `(u, v)` under the given free-regenerator vector:
-    /// every fiber a provisioning attempt iterating the pair's candidate
-    /// list (under exactly that vector) can read or write. Served from the
-    /// same entries as [`Self::relay_candidates`].
-    pub fn probe_set(
-        &mut self,
-        plant: &FiberPlant,
-        fiber_dist: &[Vec<f64>],
-        regens_free: &[u32],
-        u: SiteId,
-        v: SiteId,
-        telemetry: &CoreTelemetry,
-    ) -> FiberSet {
-        let idx = self.relay_entry_index(plant, fiber_dist, regens_free, u, v, telemetry);
-        self.relay[&(u, v)].entries[idx].probe.clone()
-    }
-
-    /// Ensures the footprint of pair `(u, v)` is computed and cached. The
-    /// footprint is the union of fibers over the shortest routes of every
-    /// relay-candidate window, computed under the pristine regenerator
-    /// vector — i.e. every fiber provisioning for `(u, v)` can read or
-    /// write while no regenerator anywhere has been consumed.
-    pub fn ensure_footprint(
-        &mut self,
-        plant: &FiberPlant,
-        fiber_dist: &[Vec<f64>],
-        u: SiteId,
-        v: SiteId,
-        telemetry: &CoreTelemetry,
-    ) {
-        if self.footprints.contains_key(&(u, v)) {
-            return;
-        }
-        let initial = self.initial_regens.clone();
-        let fp = self.probe_set(plant, fiber_dist, &initial, u, v, telemetry);
-        self.footprints.insert((u, v), fp);
-    }
-
-    /// The cached footprint of `(u, v)`; call [`Self::ensure_footprint`]
-    /// first.
-    pub fn footprint(&self, u: SiteId, v: SiteId) -> Option<&FiberSet> {
-        self.footprints.get(&(u, v))
     }
 
     /// Looks up a memoized full outcome for a desired topology. Returns a
@@ -1322,12 +573,10 @@ mod tests {
         a.insert(0);
         a.insert(129);
         b.insert(64);
-        assert!(!a.intersects(&b));
+        assert_eq!(a.iter_common(&b).count(), 0);
         b.insert(129);
-        assert!(a.intersects(&b));
-        let mut c = FiberSet::new(130);
-        c.union_with(&a);
-        assert!(c.intersects(&a));
+        assert_eq!(a.iter_common(&b).collect::<Vec<_>>(), vec![129]);
+        assert_eq!(a.iter_common(&a).collect::<Vec<_>>(), vec![0, 129]);
     }
 
     #[test]
@@ -1344,90 +593,30 @@ mod tests {
     }
 
     #[test]
-    fn relay_cache_hits_on_same_regen_vector() {
-        let p = plant();
-        let fd = p.fiber_distance_matrix();
-        let t = CoreTelemetry::disabled();
-        let mut cache = EnergyCache::new();
-        cache.begin_run(&p, &CircuitBuildConfig::default());
-        let regens: Vec<u32> = p.sites().iter().map(|s| s.regenerators).collect();
-
-        let a = cache.relay_candidates(&p, &fd, &regens, 0, 2, &t);
-        let b = cache.relay_candidates(&p, &fd, &regens, 0, 2, &t);
-        assert_eq!(a, b);
-        assert_eq!(cache.stats.relay_misses, 1);
-        assert_eq!(cache.stats.relay_hits, 1);
-
-        // A different regenerator vector is a different key.
-        let mut spent = regens.clone();
-        spent[1] = 0;
-        let c = cache.relay_candidates(&p, &fd, &spent, 0, 2, &t);
-        assert_eq!(cache.stats.relay_misses, 2);
-        // And matches an uncached build under the same vector.
-        let fresh = RegenGraph::build_with_free_regens(&p, &spent, &fd, 0, 2)
-            .relay_candidates(CircuitBuildConfig::default().relay_candidates);
-        assert_eq!(c, fresh);
-    }
-
-    #[test]
     fn begin_run_flushes_on_degradation_only() {
         let mut p = plant();
         let fd = p.fiber_distance_matrix();
-        let t = CoreTelemetry::disabled();
         let mut cache = EnergyCache::new();
-        let cfg = CircuitBuildConfig::default();
-        cache.begin_run(&p, &cfg);
-        let regens: Vec<u32> = p.sites().iter().map(|s| s.regenerators).collect();
-        cache.relay_candidates(&p, &fd, &regens, 0, 1, &t);
+        cache.begin_run(&p);
+        let first = cache.plant_precompute(&p, &fd);
 
-        cache.begin_run(&p, &cfg);
-        assert_eq!(cache.stats.flushes, 0, "same plant keeps relay layer");
-        cache.relay_candidates(&p, &fd, &regens, 0, 1, &t);
-        assert_eq!(cache.stats.relay_hits, 1);
+        cache.begin_run(&p);
+        assert_eq!(cache.stats.flushes, 0, "same plant keeps the precompute");
+        assert!(Arc::ptr_eq(&first, &cache.plant_precompute(&p, &fd)));
 
         p.set_fiber_wavelength_cap(2, Some(1));
-        cache.begin_run(&p, &cfg);
+        cache.begin_run(&p);
         assert_eq!(cache.stats.flushes, 1, "degradation flushes");
-        cache.relay_candidates(&p, &fd, &regens, 0, 1, &t);
-        assert_eq!(cache.stats.relay_misses, 2, "entry was rebuilt");
+        let rebuilt = cache.plant_precompute(&p, &fd);
+        assert_eq!(rebuilt.fingerprint(), plant_fingerprint(&p));
+        assert_ne!(rebuilt.fingerprint(), first.fingerprint());
     }
 
     #[test]
-    fn relaxed_match_requires_full_list_for_released_sites() {
-        // Stored entry for pair (0, 1): one candidate through hub 2, the
-        // path set exhausted (`next_cost` infinite). The queried vector
-        // releases site 3 from zero free regenerators; its path [0, 3, 1]
-        // costs 1.0 — strictly above the last stored candidate's 0.5.
-        let e = RelayEntry {
-            regens: vec![0, 0, 2, 0],
-            candidates: vec![vec![0, 2, 1]],
-            costs: vec![0.5],
-            probe: FiberSet::new(4),
-            next_cost: f64::INFINITY,
-        };
-        let released = vec![0, 0, 2, 1];
-        let sd = vec![vec![0.0; 4]; 4];
-        // Full list (relay_k == 1): the released path cannot enter the
-        // top-1, so the entry still matches.
-        assert!(relaxed_entry_match(&e, 1, &released, 0, 1, &sd));
-        // Partial list (relay_k == 2): a fresh Yen run would append the
-        // released path *regardless of cost* — the match must refuse,
-        // even though the static screen clears the top-k boundary.
-        assert!(!relaxed_entry_match(&e, 2, &released, 0, 1, &sd));
-        // A weight-only change (no membership crossing) on a partial
-        // list is still fine: site 2 gains a regenerator, its candidate
-        // stays the unique path.
-        let cheaper = vec![0, 0, 4, 0];
-        assert!(relaxed_entry_match(&e, 2, &cheaper, 0, 1, &sd));
-    }
-
-    #[test]
-    fn class_key_ignores_sites_outside_domain() {
+    fn domain_excludes_sites_behind_unequipped_interiors() {
         // Line 0-1-2-3, 400 km hops, reach 500. Site 2 has no
         // regenerators, so site 3 cannot be reached from 0 or 2 through
-        // equipped interiors: it is outside the (0, 2) relay domain, and
-        // spending its regenerators must not change the pair's
-        // constraint class — the lookup stays a plain hit.
+        // equipped interiors: it is outside the (0, 2) relay domain.
         let mut p = FiberPlant::new(OpticalParams {
             optical_reach_km: 500.0,
             ..Default::default()
@@ -1440,47 +629,9 @@ mod tests {
         p.add_fiber(1, 2, 400.0);
         p.add_fiber(2, 3, 400.0);
         let fd = p.fiber_distance_matrix();
-        let t = CoreTelemetry::disabled();
-        let mut cache = EnergyCache::new();
-        cache.begin_run(&p, &CircuitBuildConfig::default());
-        let regens: Vec<u32> = p.sites().iter().map(|s| s.regenerators).collect();
-
-        let a = cache.relay_candidates(&p, &fd, &regens, 0, 2, &t);
-        let mut spent3 = regens.clone();
-        spent3[3] = 0;
-        let b = cache.relay_candidates(&p, &fd, &spent3, 0, 2, &t);
-        assert_eq!(cache.stats.relay_misses, 1, "only the cold build misses");
-        assert_eq!(cache.stats.relay_hits, 1, "out-of-domain change class-hits");
-        assert_eq!(a, b);
-        // The served list is exactly what a fresh build would produce.
-        let fresh = RegenGraph::build_with_free_regens(&p, &spent3, &fd, 0, 2)
-            .relay_candidates(CircuitBuildConfig::default().relay_candidates);
-        assert_eq!(b, fresh);
-
-        // An in-domain change (site 1 relays the only candidate) is a
-        // different class; here the relaxed proof machine still accepts.
-        let mut spent1 = regens.clone();
-        spent1[1] = 1;
-        let c = cache.relay_candidates(&p, &fd, &spent1, 0, 2, &t);
-        assert_eq!(cache.stats.relay_relaxed_hits, 1);
-        assert_eq!(cache.stats.relay_misses, 1);
-        let fresh1 = RegenGraph::build_with_free_regens(&p, &spent1, &fd, 0, 2)
-            .relay_candidates(CircuitBuildConfig::default().relay_candidates);
-        assert_eq!(c, fresh1);
-    }
-
-    #[test]
-    fn footprints_cover_candidate_routes() {
-        let p = plant();
-        let fd = p.fiber_distance_matrix();
-        let t = CoreTelemetry::disabled();
-        let mut cache = EnergyCache::new();
-        cache.begin_run(&p, &CircuitBuildConfig::default());
-        cache.ensure_footprint(&p, &fd, 0, 1, &t);
-        let fp = cache.footprint(0, 1).unwrap().clone();
-        // The direct fiber 0-1 (id 0) must be in the footprint.
-        let mut direct = FiberSet::new(p.fiber_count());
-        direct.insert(0);
-        assert!(fp.intersects(&direct));
+        let pc = PlantCache::build(&p, &fd);
+        assert_eq!(pc.domain(0, 2), &[1]);
+        assert_eq!(pc.domain(2, 0), &[1], "domains are symmetric");
+        assert_eq!(pc.domain(1, 3), &[] as &[SiteId], "C cannot relay");
     }
 }

@@ -10,22 +10,21 @@
 //! possible optical circuits to satisfy all the desired capacity, we have
 //! to decrease the link capacity" (lines 13–14).
 
-use crate::cache::{EnergyCache, FiberSet};
+use crate::cache::{EnergyCache, EnergyCacheStats, FiberSet, PlantCache};
 use crate::regen::RegenGraph;
 use crate::telemetry::CoreTelemetry;
 use crate::topology::Topology;
-use owan_optical::{Circuit, CircuitId, FiberPlant, OccupancyShadow, OpticalState};
+use owan_optical::{Circuit, CircuitId, FiberPlant, OccupancyShadow, OpticalState, SiteId};
 
-/// Per-pair unions of the probe sets a build consulted: for each desired
-/// pair, every fiber any provisioning attempt's candidate list (under that
-/// attempt's free-regenerator vector) could read or write. Recorded by the
-/// cached and delta builders; the naive builder leaves it empty.
+/// Per-pair probe unions of a build: for each desired pair, every fiber
+/// any relay candidate its provisioning attempts *tried* could read or
+/// write. Recorded by the cached and delta builders; the naive builder
+/// leaves it empty.
 ///
 /// A later delta rebuild resuming from this build uses the log as the
 /// fiber half of its **dirty-set screen**: a pair whose recorded probe
 /// union avoids every diverged fiber (and whose relay domain avoids every
-/// diverged regenerator site) provably reproduces its previous circuits,
-/// with no relay-cache lookups and no attempt walk.
+/// diverged regenerator count) provably reproduces its previous circuits.
 #[derive(Debug, Clone, Default)]
 pub struct ProbeLog(Vec<((usize, usize), FiberSet)>);
 
@@ -164,11 +163,138 @@ pub fn build_topology_observed(
     }
 }
 
-/// [`build_topology_observed`] with the relay-candidate cache: identical
+/// Adds every fiber `c` traverses to `set`.
+fn add_circuit_fibers(c: &Circuit, set: &mut FiberSet) {
+    for seg in &c.segments {
+        for &f in &seg.fibers {
+            set.insert(f);
+        }
+    }
+}
+
+/// The lazy relay search both fast builders provision through.
+///
+/// A circuit request (Algorithm 3 lines 7–12) tries the relay candidates
+/// in weight order until one provisions. The first candidate comes from
+/// [`PlantCache::first_relay_path`] — one early-exit Dijkstra, no graph
+/// build. Only when it fails to provision does `RegenGraph` + Yen run,
+/// under the same free-regenerator vector, for the rest of the list.
+/// Yen's first path is that same path and a failed `provision` commits
+/// nothing, so the candidates tried, their order, and their outcomes are
+/// exactly the naive builder's.
+struct LazySearch<'a> {
+    plant: &'a FiberPlant,
+    fiber_dist: &'a [Vec<f64>],
+    relay_k: usize,
+    pc: &'a PlantCache,
+    telemetry: &'a CoreTelemetry,
+}
+
+impl LazySearch<'_> {
+    /// Provisions up to `m` circuits for `(u, v)`, stopping at the first
+    /// request no candidate satisfies. Returns the new circuit ids and the
+    /// pair's probe union: every fiber a tried candidate could read or
+    /// write.
+    fn provision_pair(
+        &self,
+        optical: &mut OpticalState,
+        stats: &mut EnergyCacheStats,
+        u: SiteId,
+        v: SiteId,
+        m: u32,
+    ) -> (Vec<CircuitId>, FiberSet) {
+        let mut ids = Vec::new();
+        let mut probe = FiberSet::new(self.plant.fiber_count());
+        for _ in 0..m {
+            match self.provision_one(optical, stats, u, v, &mut probe) {
+                Some(id) => ids.push(id),
+                None => break, // reduce this link's capacity (Alg 3 lines 13-14)
+            }
+        }
+        (ids, probe)
+    }
+
+    /// One circuit request; see the type docs.
+    fn provision_one(
+        &self,
+        optical: &mut OpticalState,
+        stats: &mut EnergyCacheStats,
+        u: SiteId,
+        v: SiteId,
+        probe: &mut FiberSet,
+    ) -> Option<CircuitId> {
+        let first = if self.relay_k == 0 {
+            None
+        } else {
+            self.pc.first_relay_path(optical.free_regen_vec(), u, v)
+        };
+        let Some(first) = first else {
+            stats.relay_hits += 1;
+            return None;
+        };
+        if let Some(id) = self.try_candidate(optical, &first, probe) {
+            stats.relay_hits += 1;
+            return Some(id);
+        }
+        if self.relay_k == 1 {
+            stats.relay_hits += 1;
+            return None;
+        }
+        stats.relay_misses += 1;
+        self.telemetry.shortest_path_calls.incr();
+        let candidates = RegenGraph::build_with_free_regens(
+            self.plant,
+            optical.free_regen_vec(),
+            self.fiber_dist,
+            u,
+            v,
+        )
+        .relay_candidates(self.relay_k);
+        debug_assert_eq!(candidates.first(), Some(&first), "Yen's first path");
+        candidates
+            .iter()
+            .skip(1)
+            .find_map(|relay| self.try_candidate(optical, relay, probe))
+    }
+
+    /// Tries to provision one relay candidate, adding to `probe` every
+    /// fiber the attempt can read or write: the circuit's own fibers on
+    /// success, the shortest route of every relay window on failure.
+    fn try_candidate(
+        &self,
+        optical: &mut OpticalState,
+        relay: &[SiteId],
+        probe: &mut FiberSet,
+    ) -> Option<CircuitId> {
+        match optical.provision(self.plant, relay) {
+            Ok(id) => {
+                let c = optical.circuit(id).expect("just provisioned");
+                add_circuit_fibers(c, probe);
+                self.telemetry.circuits_built.incr();
+                self.telemetry
+                    .regens_consumed
+                    .add(c.regen_sites.len() as u64);
+                Some(id)
+            }
+            Err(_) => {
+                self.telemetry.wavelength_failures.incr();
+                for w in relay.windows(2) {
+                    let route = self.plant.shortest_fiber_route(w[0], w[1]);
+                    for f in route.map(|(fibers, _, _)| fibers).unwrap_or_default() {
+                        probe.insert(f);
+                    }
+                }
+                None
+            }
+        }
+    }
+}
+
+/// [`build_topology_observed`] through the lazy relay search: identical
 /// construction order and identical results, but `RegenGraph::build` + Yen
-/// run only when the cache has no entry for the link's endpoint pair under
-/// the current free-regenerator vector. `telemetry.shortest_path_calls`
-/// therefore counts only the shortest-path work actually performed.
+/// run only for the requests whose first relay path fails to provision.
+/// `telemetry.shortest_path_calls` therefore counts only those fallback
+/// graph builds.
 pub fn build_topology_cached(
     plant: &FiberPlant,
     desired: &Topology,
@@ -178,47 +304,25 @@ pub fn build_topology_cached(
     telemetry: &CoreTelemetry,
 ) -> BuiltTopology {
     cache.stats.full_builds += 1;
+    let pc = cache.plant_precompute(plant, fiber_dist);
+    let search = LazySearch {
+        plant,
+        fiber_dist,
+        relay_k: config.relay_candidates,
+        pc: &pc,
+        telemetry,
+    };
     let mut optical = OpticalState::new(plant);
     let mut achieved = Topology::empty(desired.site_count());
     let mut circuits = Vec::new();
     let mut pair_probes = ProbeLog::default();
 
     for (u, v, m) in desired.links() {
-        let mut ids = Vec::new();
-        let mut pair_probe = FiberSet::new(plant.fiber_count());
-        for _ in 0..m {
-            let (candidates, probe) = cache.relay_candidates_and_probe(
-                plant,
-                fiber_dist,
-                optical.free_regen_vec(),
-                u,
-                v,
-                telemetry,
-            );
-            pair_probe.union_with(&probe);
-            let mut provisioned = false;
-            for relay in &candidates {
-                match optical.provision(plant, relay) {
-                    Ok(id) => {
-                        telemetry.circuits_built.incr();
-                        telemetry
-                            .regens_consumed
-                            .add(optical.circuit(id).map_or(0, |c| c.regen_sites.len()) as u64);
-                        ids.push(id);
-                        provisioned = true;
-                        break;
-                    }
-                    Err(_) => telemetry.wavelength_failures.incr(),
-                }
-            }
-            if !provisioned {
-                break;
-            }
-        }
+        let (ids, probe) = search.provision_pair(&mut optical, &mut cache.stats, u, v, m);
         // Recorded even for pairs that built nothing: the failed attempt
-        // still consulted a candidate list, and a future delta's skip test
-        // replays exactly that attempt.
-        pair_probes.push(u, v, pair_probe);
+        // still tried candidates, and a future delta's screen replays
+        // exactly that attempt.
+        pair_probes.push(u, v, probe);
         if !ids.is_empty() {
             achieved.add_links(u, v, ids.len() as u32);
             circuits.push(((u, v), ids));
@@ -255,30 +359,27 @@ const MAX_DELTA_UNITS: u32 = 4;
 /// The builder walks every active pair in canonical order, maintaining the
 /// build under construction plus a lightweight **occupancy shadow** — the
 /// packed channel words and regenerator vector of a verbatim replay of the
-/// previous build, without circuit storage. It tracks **dirty sets**: the
-/// fibers and regenerator sites on which the live build has provably
-/// diverged from the replay (contributed only by pairs whose circuits
-/// actually changed). An unchanged pair whose relay domain avoids every
-/// dirty site and whose recorded probe union (see [`ProbeLog`]) avoids
-/// every dirty fiber is reused by those two intersections alone. Only
-/// pairs the screen cannot clear run the exact **skip test**:
+/// previous build, without circuit storage. It tracks a **dirty set**: the
+/// fibers on which the live build has provably diverged from the replay
+/// (contributed only by pairs whose circuits actually changed). An
+/// unchanged pair is reused verbatim — no path search, no provisioning —
+/// when its **screen** clears:
 ///
-/// 1. the free-regenerator vectors of the two states are equal — so every
-///    provisioning attempt of a fresh build would query the regenerator
-///    graph under exactly the vectors the retained circuits were chosen
-///    under (replayed attempt by attempt, including the trailing failed
-///    attempt of a partially satisfied pair); and
-/// 2. channel occupancy is equal between the two states on every fiber of
-///    the pair's *probe sets* — the fibers any attempt's candidate list
-///    (under that attempt's vector) can read or write — so every first-fit
-///    channel choice and every wavelength failure is reproduced exactly.
+/// 1. the live and replayed free-regenerator vectors agree on the pair's
+///    relay domain — so every provisioning attempt of a fresh build would
+///    search the same relay candidates in the same order as the previous
+///    build did (equal projections stay equal attempt by attempt, since
+///    both sides then consume the same regenerators); and
+/// 2. channel occupancy agrees on the pair's recorded probe union (see
+///    [`ProbeLog`]) — the fibers of every candidate the previous build
+///    tried — so every tried candidate meets the same outcome and the
+///    same first-fit channels. Clean fibers agree by construction, so only
+///    the probe fibers in the dirty set are compared.
 ///
-/// When the test passes, the previous circuits are installed verbatim: no
-/// shortest-path work, no provisioning. When it fails — or the pair's
-/// multiplicity changed — only *that pair* is re-provisioned, through the
-/// relay-candidate cache, exactly as [`build_topology_cached`] would.
-/// There is no all-or-nothing contention fallback: divergence degrades
-/// reuse pair by pair.
+/// Every other pair — a failed screen, or a changed multiplicity — is
+/// re-provisioned through the lazy relay search, exactly as
+/// [`build_topology_cached`] would. Divergence degrades reuse pair by
+/// pair; there is no all-or-nothing fallback.
 ///
 /// Returns `None` only when the topologies differ by more than
 /// [`MAX_DELTA_UNITS`] units (beyond the neighbor-move bound, resuming
@@ -326,6 +427,13 @@ pub fn try_build_topology_delta(
     };
 
     let pc = cache.plant_precompute(plant, fiber_dist);
+    let search = LazySearch {
+        plant,
+        fiber_dist,
+        relay_k: config.relay_candidates,
+        pc: &pc,
+        telemetry,
+    };
     let mut optical = OpticalState::new(plant);
     let mut replay = OccupancyShadow::new(plant);
     let mut achieved = Topology::empty(n);
@@ -333,24 +441,16 @@ pub fn try_build_topology_delta(
     let mut pair_probes = ProbeLog::default();
     let mut reused = 0u64;
     let mut rebuilt = 0u64;
-    let mut screened = 0u64;
 
-    // Dirty sets: conservative supersets of where the live build has
-    // diverged from the replay so far. A rebuilt pair whose new circuits
-    // differ from its previous ones contributes the fibers and regenerator
-    // sites of *both* generations; everything else (reused pairs, and
-    // rebuilds that reproduced their circuits verbatim) contributes
-    // nothing, because identical circuits installed on both sides leave
-    // occupancy words and free-regenerator counts equal.
+    // Dirty set: a conservative superset of the fibers where the live
+    // build has diverged from the replay so far. A rebuilt pair whose new
+    // circuits differ from its previous ones contributes the fibers of
+    // *both* generations; everything else (reused pairs, and rebuilds
+    // that reproduced their circuits verbatim) contributes nothing,
+    // because identical circuits installed on both sides leave occupancy
+    // words and free-regenerator counts equal.
     let mut dirty_fibers = FiberSet::new(plant.fiber_count());
     let mut any_dirty = false;
-    let mark_dirty = |c: &Circuit, df: &mut FiberSet| {
-        for seg in &c.segments {
-            for &f in &seg.fibers {
-                df.insert(f);
-            }
-        }
-    };
 
     for u in 0..n {
         for v in u + 1..n {
@@ -361,97 +461,20 @@ pub fn try_build_topology_delta(
             }
             let ids = prev_ids(u, v);
 
-            // Skip test (unchanged pairs only): would a fresh build, given
-            // the state built so far, reproduce the previous circuits?
-            //
-            // Dirty-set screen first: when the pair's relay domain avoids
-            // every diverged regenerator site, the live and replayed
-            // vectors agree on the domain at every attempt (they start
-            // equal there and decrement identically), so each attempt's
-            // candidate list — and hence its probe set — is exactly the
-            // one the previous build recorded. When that recorded probe
-            // union also avoids every diverged fiber, channel occupancy
-            // matches on all fibers any attempt can read or write. Two
-            // bitset intersections then prove what the attempt walk
-            // proves, with no cache lookups at all.
-            //
-            // Only pairs the screen cannot clear fall through to the
-            // exact walk: attempt by attempt, the candidate lists under
-            // the live and replayed vectors must provably coincide, and
-            // channel occupancy must match on every probe fiber —
-            // including the trailing failed attempt of a partially
-            // satisfied pair.
-            let mut use_prev = false;
-            let mut pair_probe: Option<FiberSet> = None;
-            if m_prev == m_new {
-                // Pairs whose live and replayed vectors agree on the relay
-                // domain are decided without any cache lookup. Equal domain
-                // projections at the pair's start stay equal through every
-                // attempt (both sides decrement by the same circuits), so
-                // candidate-list equality holds attempt by attempt — and
-                // each attempt's probe set is then exactly the one the
-                // previous build recorded, so the occupancy comparison
-                // runs on the recorded union, restricted to its dirty
-                // fibers (clean fibers are equal by the dirty invariant).
-                // Equality there is precisely what the attempt walk would
-                // establish; inequality is precisely where it would fail.
-                // The walk below remains only for pairs whose projections
-                // genuinely diverge — where Yen output equality needs the
-                // cache's relaxed prover.
-                let proj_equal = !any_dirty || {
-                    let lv = optical.free_regen_vec();
-                    let rv = replay.free_regen_vec();
-                    pc.domain(u, v).iter().all(|&s| lv[s] == rv[s])
-                };
-                let recorded = prev_built.pair_probes.get(u, v);
-                if let (true, Some(prev_probe)) = (proj_equal, recorded) {
-                    if prev_probe
+            // The screen (see the function docs): unchanged multiplicity,
+            // equal domain projections, equal occupancy on probe ∩ dirty.
+            let domain_equal = || {
+                let (lv, rv) = (optical.free_regen_vec(), replay.free_regen_vec());
+                pc.domain(u, v).iter().all(|&s| lv[s] == rv[s])
+            };
+            let screened = prev_built.pair_probes.get(u, v).filter(|prev_probe| {
+                m_prev == m_new
+                    && (!any_dirty || domain_equal())
+                    && prev_probe
                         .iter_common(&dirty_fibers)
                         .all(|f| optical.occupancy_words(f) == replay.occupancy_words(f))
-                    {
-                        use_prev = true;
-                        pair_probe = Some(prev_probe.clone());
-                        screened += 1;
-                    }
-                    // else: a probe fiber genuinely diverged — rebuild,
-                    // exactly as a failed walk would.
-                } else {
-                    let mut v_live = optical.free_regen_vec().to_vec();
-                    let mut v_rep = replay.free_regen_vec().to_vec();
-                    let mut walk_probe = FiberSet::new(plant.fiber_count());
-                    let mut ok = true;
-                    let extra_attempt = ids.len() < m_prev as usize;
-                    for i in 0..ids.len() + usize::from(extra_attempt) {
-                        let Some(probe) = cache.attempt_equivalent(
-                            plant, fiber_dist, &v_live, &v_rep, u, v, telemetry,
-                        ) else {
-                            ok = false;
-                            break;
-                        };
-                        if probe
-                            .iter()
-                            .any(|f| optical.occupancy_words(f) != replay.occupancy_words(f))
-                        {
-                            ok = false;
-                            break;
-                        }
-                        walk_probe.union_with(&probe);
-                        if let Some(&id) = ids.get(i) {
-                            let c = prev_built.optical.circuit(id).expect("live circuit");
-                            for &s in &c.regen_sites {
-                                v_live[s] -= 1;
-                                v_rep[s] -= 1;
-                            }
-                        }
-                    }
-                    use_prev = ok;
-                    if ok {
-                        pair_probe = Some(walk_probe);
-                    }
-                }
-            }
-
-            if use_prev {
+            });
+            if let Some(prev_probe) = screened {
                 reused += 1;
                 let mut pair_ids = Vec::new();
                 for &id in ids {
@@ -459,7 +482,7 @@ pub fn try_build_topology_delta(
                     replay.install(c);
                     pair_ids.push(optical.install(c.clone()));
                 }
-                pair_probes.push(u, v, pair_probe.expect("probe recorded on reuse"));
+                pair_probes.push(u, v, prev_probe.clone());
                 if !pair_ids.is_empty() {
                     achieved.add_links(u, v, pair_ids.len() as u32);
                     circuits.push(((u, v), pair_ids));
@@ -478,48 +501,19 @@ pub fn try_build_topology_delta(
                 // channels and regenerators now differ from the replay.
                 for &id in ids {
                     let c = prev_built.optical.circuit(id).expect("live circuit");
-                    mark_dirty(c, &mut dirty_fibers);
+                    add_circuit_fibers(c, &mut dirty_fibers);
                     any_dirty = true;
                 }
                 continue;
             }
             rebuilt += 1;
-            let mut pair_ids = Vec::new();
-            let mut rebuild_probe = FiberSet::new(plant.fiber_count());
-            for _ in 0..m_new {
-                let (candidates, probe) = cache.relay_candidates_and_probe(
-                    plant,
-                    fiber_dist,
-                    optical.free_regen_vec(),
-                    u,
-                    v,
-                    telemetry,
-                );
-                rebuild_probe.union_with(&probe);
-                let mut provisioned = false;
-                for relay in &candidates {
-                    match optical.provision(plant, relay) {
-                        Ok(id) => {
-                            telemetry.circuits_built.incr();
-                            telemetry
-                                .regens_consumed
-                                .add(optical.circuit(id).map_or(0, |c| c.regen_sites.len()) as u64);
-                            pair_ids.push(id);
-                            provisioned = true;
-                            break;
-                        }
-                        Err(_) => telemetry.wavelength_failures.incr(),
-                    }
-                }
-                if !provisioned {
-                    break;
-                }
-            }
-            pair_probes.push(u, v, rebuild_probe);
+            let (pair_ids, probe) =
+                search.provision_pair(&mut optical, &mut cache.stats, u, v, m_new);
+            pair_probes.push(u, v, probe);
 
             // A rebuild that reproduced the previous circuits verbatim
-            // (the walk merely failed to *prove* it would) leaves live and
-            // replay identical on every fiber and site it touched — no
+            // (the screen merely failed to *prove* it would) leaves live
+            // and replay identical on every fiber and site it touched — no
             // dirt, so the screen stays sharp for the pairs after it.
             let identical = pair_ids.len() == ids.len()
                 && pair_ids
@@ -529,11 +523,11 @@ pub fn try_build_topology_delta(
             if !identical {
                 for &id in ids {
                     let c = prev_built.optical.circuit(id).expect("live circuit");
-                    mark_dirty(c, &mut dirty_fibers);
+                    add_circuit_fibers(c, &mut dirty_fibers);
                 }
                 for &id in &pair_ids {
                     let c = optical.circuit(id).expect("just provisioned");
-                    mark_dirty(c, &mut dirty_fibers);
+                    add_circuit_fibers(c, &mut dirty_fibers);
                 }
                 any_dirty = true;
             }
@@ -548,7 +542,6 @@ pub fn try_build_topology_delta(
     cache.stats.delta_builds += 1;
     cache.stats.delta_pairs_reused += reused;
     cache.stats.delta_pairs_rebuilt += rebuilt;
-    cache.stats.delta_pairs_screened += screened;
 
     let built = BuiltTopology {
         achieved,

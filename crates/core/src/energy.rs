@@ -110,7 +110,7 @@ pub fn compute_energy_observed(
 /// With a cache attached, an evaluation first consults the outcome memo
 /// (revisited topologies cost a hash lookup + clone), then rebuilds
 /// circuits — incrementally against a `basis` outcome when the contention
-/// detector allows, via the relay-candidate cache otherwise — and finally
+/// detector allows, via the lazy relay search otherwise — and finally
 /// consults the rate memo keyed on the *achieved* topology before running
 /// rate assignment. Without a cache it is a plain pass-through, so callers
 /// can toggle the fast path with an `Option` and nothing else.
@@ -135,7 +135,7 @@ impl<'a, 'c> EnergyEvaluator<'a, 'c> {
     ) -> Self {
         let mut cache = cache;
         if let Some(c) = cache.as_deref_mut() {
-            c.begin_run(ctx.plant, &ctx.circuit_config);
+            c.begin_run(ctx.plant);
         }
         EnergyEvaluator {
             ctx,
@@ -168,12 +168,15 @@ impl<'a, 'c> EnergyEvaluator<'a, 'c> {
             return hit;
         }
         self.telemetry.anneal_cache_miss.incr();
-        // Miss attribution: a refused-at-capacity repeat is `capacity`;
-        // otherwise the dominant relay-layer reject observed while
-        // building this evaluation names the cause, and a build that
-        // missed no relay entry at all is a plain cold start.
-        let overflowed = cache.outcome_overflowed(desired);
-        let relay_before = cache.stats.relay_miss_by_reason;
+        // Miss attribution: a refused-at-capacity repeat is `capacity`,
+        // anything else a first sight this run.
+        let reason = if cache.outcome_overflowed(desired) {
+            MissReason::Capacity
+        } else {
+            MissReason::Cold
+        };
+        cache.stats.count_eval_miss(reason);
+        self.telemetry.cache_miss_reason(reason).incr();
 
         let built = {
             let _span = self.telemetry.circuits.enter();
@@ -202,25 +205,6 @@ impl<'a, 'c> EnergyEvaluator<'a, 'c> {
                 ),
             }
         };
-
-        let reason = if overflowed {
-            MissReason::Capacity
-        } else {
-            let relay_after = cache.stats.relay_miss_by_reason;
-            let mut dominant = None::<(usize, u64)>;
-            for (i, (after, before)) in relay_after.iter().zip(&relay_before).enumerate() {
-                let d = after - before;
-                if d > 0 && dominant.is_none_or(|(_, best)| d > best) {
-                    dominant = Some((i, d));
-                }
-            }
-            match dominant {
-                Some((i, _)) => MissReason::RELAY[i],
-                None => MissReason::Cold,
-            }
-        };
-        cache.stats.count_eval_miss(reason);
-        self.telemetry.cache_miss_reason(reason).incr();
 
         let rates = match cache.lookup_rates(&built.achieved) {
             Some(r) => r.clone(),

@@ -43,9 +43,9 @@ impl RegenGraph {
 
     /// [`RegenGraph::build`] from an explicit free-regenerator vector
     /// instead of an [`OpticalState`]. The graph depends on the state only
-    /// through this vector, which is what makes relay-candidate results
-    /// cacheable: equal vectors (under the same plant and distance matrix)
-    /// produce identical graphs and therefore identical Yen outputs.
+    /// through this vector: equal vectors (under the same plant and
+    /// distance matrix) produce identical graphs and therefore identical
+    /// Yen outputs.
     pub fn build_with_free_regens(
         plant: &FiberPlant,
         regens_free: &[u32],
@@ -112,8 +112,7 @@ impl RegenGraph {
     }
 
     /// [`Self::relay_candidates`] paired with each path's total node weight
-    /// (the Yen cost). The relay-candidate cache stores the last cost as
-    /// the cutoff for its provably-safe relaxed vector matching.
+    /// (the Yen cost).
     pub fn relay_candidates_with_costs(&self, k: usize) -> Vec<(Vec<SiteId>, f64)> {
         k_shortest_paths(&self.transformed, 0, 1, k)
             .into_iter()

@@ -17,7 +17,12 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// Total time a client gets to send its request headers. The deadline
+/// covers the whole read, not each `read` call, so a client trickling one
+/// byte at a time cannot hold the single serving thread past it.
+const READ_DEADLINE: Duration = Duration::from_secs(2);
 
 /// A running metrics endpoint (see module docs).
 #[derive(Debug)]
@@ -90,12 +95,18 @@ fn serve_loop(listener: TcpListener, recorder: Recorder, shutdown: Arc<AtomicBoo
 }
 
 fn handle_connection(mut stream: TcpStream, recorder: &Recorder) -> io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
     stream.set_write_timeout(Some(Duration::from_secs(2)))?;
-    // Read until the header terminator (or EOF/4 KiB); body is ignored.
+    // Read until the header terminator (or EOF/4 KiB) within the deadline;
+    // body is ignored.
+    let deadline = Instant::now() + READ_DEADLINE;
     let mut raw = Vec::with_capacity(256);
     let mut buf = [0u8; 1024];
     loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        stream.set_read_timeout(Some(left))?;
         let n = stream.read(&mut buf)?;
         if n == 0 {
             break;
@@ -178,6 +189,45 @@ mod tests {
             TcpStream::connect_timeout(&addr, Duration::from_millis(200)).is_err()
                 || get_safe(addr).is_none()
         );
+    }
+
+    #[test]
+    fn trickling_client_is_dropped_at_the_deadline() {
+        let server = MetricsServer::spawn("127.0.0.1:0", Recorder::enabled()).unwrap();
+        let addr = server.addr();
+        let slow = TcpStream::connect(addr).unwrap();
+        let mut writer = slow.try_clone().unwrap();
+        let start = Instant::now();
+        // One byte every 50 ms: each read completes far inside any
+        // per-read timeout, and 4 KiB would take minutes.
+        let trickle = std::thread::spawn(move || {
+            let request = b"GET /metrics HTTP/1.1\r\nX-Pad: ";
+            for &byte in request.iter().chain(std::iter::repeat(&b'a')) {
+                if writer.write_all(&[byte]).is_err() || start.elapsed() > 3 * READ_DEADLINE {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(50));
+            }
+        });
+        let mut reader = slow;
+        reader.set_read_timeout(Some(3 * READ_DEADLINE)).unwrap();
+        let mut out = Vec::new();
+        // The server closes without a response: EOF, or a reset if a
+        // trickled byte raced the close.
+        let dropped = match reader.read_to_end(&mut out) {
+            Ok(_) => out.is_empty(),
+            Err(e) => e.kind() == io::ErrorKind::ConnectionReset,
+        };
+        let held = start.elapsed();
+        trickle.join().unwrap();
+        assert!(dropped, "trickling client was answered or never dropped");
+        assert!(
+            held < READ_DEADLINE + Duration::from_secs(1),
+            "server held the trickling client for {held:?}"
+        );
+        // The single serving thread is free again.
+        assert!(get(addr, "/metrics").starts_with("HTTP/1.1 200 OK"));
+        server.shutdown();
     }
 
     fn get_safe(addr: SocketAddr) -> Option<String> {

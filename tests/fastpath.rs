@@ -1,8 +1,8 @@
-//! Fast-path equivalence suite: the relay/outcome caches, the delta
-//! circuit rebuilds, and parallel multi-chain annealing are pure
-//! accelerations — every test here pins the accelerated paths bit-for-bit
-//! to the naive reference, across benchmark networks, seeds, an exact
-//! enumeration oracle, and plant-mutating invalidations.
+//! Fast-path equivalence suite: the lazy relay search, the outcome
+//! caches, the delta circuit rebuilds, and parallel multi-chain annealing
+//! are pure accelerations — every test here pins the accelerated paths
+//! bit-for-bit to the naive reference, across benchmark networks, seeds,
+//! an exact enumeration oracle, and plant-mutating invalidations.
 //!
 //! Debug builds additionally cross-check every cached circuit build
 //! against a from-scratch rebuild inside `owan-core` (`debug_assert_eq!`),
@@ -282,7 +282,7 @@ fn plant_degradation_flushes_and_stays_equivalent() {
     assert_eq!(fast.energy_caches()[0].stats.flushes, 0);
 
     // Degrade one fiber's amplifier: usable wavelengths shrink, the plant
-    // fingerprint moves, and stale relay/footprint entries must go.
+    // fingerprint moves, and the stale plant precompute must go.
     let cap = plant.usable_wavelengths(0).saturating_sub(2).max(1);
     plant.set_fiber_wavelength_cap(0, Some(cap));
     let input2 = SlotInput {
