@@ -18,14 +18,13 @@
 
 use crate::perf::{git_commit, json_number, json_string};
 use crate::scale::{net_by_name, workload_for, Scale};
-use owan_chaos::{run_attack, AttackTimeline, ChaosConfig, OpFaultModel, SlotAudit};
+use owan_chaos::{run_attack, AttackSpec, AttackTimeline, ChaosConfig, ChaosSpec, SlotAudit};
 use owan_core::{
     default_topology, AnnealConfig, OwanConfig, OwanEngine, TrafficEngineer, TransferRequest,
 };
-use owan_obs::Recorder;
-use owan_oracle::{check_plan, check_timeline};
-use owan_scope::ScopeRecorder;
+use owan_oracle::audit_slot;
 use owan_sim::runner::{make_engine, EngineKind, RunnerConfig};
+use owan_sim::Probes;
 use owan_topo::Network;
 use owan_workload::attack::{coremelt, flash_crowd, CoremeltConfig, FlashCrowdConfig};
 
@@ -167,14 +166,11 @@ fn background(net: &Network, scale: &Scale) -> Vec<TransferRequest> {
 /// attacked run audited by `check_plan`/`check_timeline`. Panics on an
 /// invariant violation — a benchmark must not report numbers from a run
 /// the oracle rejected.
-#[allow(clippy::too_many_arguments)]
 fn run_cell(
     net: &Network,
     requests: &[TransferRequest],
-    timeline: &AttackTimeline,
-    kind: EngineKind,
-    scenario: &str,
-    engine: &str,
+    (scenario, timeline): (&str, &AttackTimeline),
+    (engine, kind): (&str, EngineKind),
     scale: &Scale,
     slots: usize,
 ) -> AttackBenchRow {
@@ -206,29 +202,23 @@ fn run_cell(
 
     let mut slots_audited = 0usize;
     let mut audit = |a: &SlotAudit| -> Result<(), String> {
-        if let Err(v) = check_plan(a.believed_plant, a.transfers, a.slot_len_s, a.plan) {
-            return Err(format!("slot plan: {v}"));
-        }
-        if let (Some(delta), Some(update)) = (a.delta, a.update) {
-            if let Err(v) = check_timeline(delta, update, &a.params) {
-                return Err(format!("update: {v}"));
-            }
-        }
+        audit_slot(a, &Probes::off())?;
         slots_audited += 1;
         Ok(())
     };
 
+    let attack = AttackSpec {
+        timeline,
+        faults: ChaosSpec::quiet(),
+        restore_fraction: 0.9,
+    };
     let outcome = run_attack(
         &net.plant,
         requests,
-        timeline,
         &mut factory,
         &config,
-        0.9,
-        &[],
-        &OpFaultModel::none(),
-        &Recorder::disabled(),
-        &ScopeRecorder::disabled(),
+        attack,
+        &Probes::off(),
         Some(&mut audit),
     )
     .unwrap_or_else(|e| panic!("{scenario}/{engine}: oracle rejected the run: {e}"));
@@ -277,7 +267,12 @@ pub fn bench_attack(scale: &Scale, label: &str) -> AttackBenchReport {
         for (engine, kind) in engines {
             eprintln!("bench_attack: {scenario}/{engine} ...");
             rows.push(run_cell(
-                &net, &requests, tl, kind, scenario, engine, scale, slots,
+                &net,
+                &requests,
+                (scenario, tl),
+                (engine, kind),
+                scale,
+                slots,
             ));
         }
     }

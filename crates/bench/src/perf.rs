@@ -26,9 +26,9 @@ use owan_core::{
 };
 use owan_obs::Recorder;
 use owan_scope::{ScopeConfig, ScopeRecorder};
-use owan_sim::runner::{run_engine, run_engine_profiled, EngineKind, RunnerConfig};
+use owan_sim::runner::{run_engine_probed, EngineKind, RunnerConfig};
 use owan_sim::sim::SimResult;
-use owan_sim::SimConfig;
+use owan_sim::{Probes, SimConfig};
 use std::time::Instant;
 
 /// Everything one benchmark run measured. Field names match the JSON keys.
@@ -190,8 +190,10 @@ fn timed_anneal(
 }
 
 /// Runs the Fig 10(d)-style inter-DC pipeline at a fixed iteration budget
-/// and returns `(result, wall_s)`.
-fn timed_pipeline(scale: &Scale, use_cache: bool) -> (SimResult, f64) {
+/// under `probes` and returns `(result, wall_s)`. Attaching one tier at a
+/// time on top of the recorder isolates that tier's enabled-path overhead
+/// at fixed search quality.
+fn timed_pipeline(scale: &Scale, use_cache: bool, probes: &Probes) -> (SimResult, f64) {
     let net = net_by_name("interdc");
     let reqs = workload_for(&net, 1.0, None, scale);
     let cfg = RunnerConfig {
@@ -206,51 +208,7 @@ fn timed_pipeline(scale: &Scale, use_cache: bool) -> (SimResult, f64) {
         ..Default::default()
     };
     let start = Instant::now();
-    let res = run_engine(EngineKind::Owan, &net, &reqs, &cfg);
-    (res, start.elapsed().as_secs_f64())
-}
-
-/// The same pipeline as [`timed_pipeline`] (cache on) with the obs
-/// recorder enabled and, when `scoped`, the flight recorder attached on
-/// top — isolates the scope's own enabled-path overhead from the
-/// telemetry recorder's at fixed search quality. `profiled` attaches the
-/// region profiler instead, isolating *its* enabled-path overhead the
-/// same way.
-fn timed_pipeline_observed(scale: &Scale, scoped: bool, profiled: bool) -> (SimResult, f64) {
-    let net = net_by_name("interdc");
-    let reqs = workload_for(&net, 1.0, None, scale);
-    let cfg = RunnerConfig {
-        sim: SimConfig {
-            slot_len_s: scale.slot_len_s,
-            max_slots: 2_000,
-            ..Default::default()
-        },
-        anneal_iterations: scale.anneal_iterations,
-        seed: scale.seed,
-        anneal_use_cache: true,
-        ..Default::default()
-    };
-    let recorder = Recorder::enabled();
-    let scope = if scoped {
-        ScopeRecorder::enabled(ScopeConfig::default())
-    } else {
-        ScopeRecorder::disabled()
-    };
-    let prof = if profiled {
-        Profiler::enabled()
-    } else {
-        Profiler::disabled()
-    };
-    let start = Instant::now();
-    let res = run_engine_profiled(
-        EngineKind::Owan,
-        &net,
-        &reqs,
-        &cfg,
-        &recorder,
-        &scope,
-        &prof,
-    );
+    let res = run_engine_probed(EngineKind::Owan, &net, &reqs, &cfg, probes);
     (res, start.elapsed().as_secs_f64())
 }
 
@@ -357,8 +315,8 @@ pub fn bench_anneal(
     assert_eq!(naive_evals, fast_evals, "same search, same evaluations");
 
     // --- pipeline speedup at fixed quality (inter-DC) ---
-    let (pipe_naive, pipeline_naive_wall_s) = timed_pipeline(scale, false);
-    let (pipe_fast, pipeline_fast_wall_s) = timed_pipeline(scale, true);
+    let (pipe_naive, pipeline_naive_wall_s) = timed_pipeline(scale, false, &Probes::off());
+    let (pipe_fast, pipeline_fast_wall_s) = timed_pipeline(scale, true, &Probes::off());
     assert_same_sim(&pipe_naive, &pipe_fast);
     // Observability must not perturb: both instrumented runs' plans are
     // asserted identical before overheads are reported. Best-of-3 walls —
@@ -368,11 +326,23 @@ pub fn bench_anneal(
     let mut pipeline_scope_wall_s = f64::INFINITY;
     let mut pipeline_prof_wall_s = f64::INFINITY;
     for _ in 0..3 {
-        let (pipe_obs, obs_wall) = timed_pipeline_observed(scale, false, false);
+        let observed = || Probes {
+            recorder: Recorder::enabled(),
+            ..Probes::off()
+        };
+        let (pipe_obs, obs_wall) = timed_pipeline(scale, true, &observed());
         assert_same_sim(&pipe_fast, &pipe_obs);
-        let (pipe_scope, scope_wall) = timed_pipeline_observed(scale, true, false);
+        let scoped = Probes {
+            scope: ScopeRecorder::enabled(ScopeConfig::default()),
+            ..observed()
+        };
+        let (pipe_scope, scope_wall) = timed_pipeline(scale, true, &scoped);
         assert_same_sim(&pipe_fast, &pipe_scope);
-        let (pipe_prof, prof_wall) = timed_pipeline_observed(scale, false, true);
+        let profiled = Probes {
+            prof: Profiler::enabled(),
+            ..observed()
+        };
+        let (pipe_prof, prof_wall) = timed_pipeline(scale, true, &profiled);
         assert_same_sim(&pipe_fast, &pipe_prof);
         pipeline_obs_wall_s = pipeline_obs_wall_s.min(obs_wall);
         pipeline_scope_wall_s = pipeline_scope_wall_s.min(scope_wall);

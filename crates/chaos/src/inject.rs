@@ -78,21 +78,21 @@ impl OpFaultModel {
     }
 }
 
-/// A complete chaos scenario: a timed fault/repair schedule plus an
+/// The faults a chaos run faces: a timed fault/repair schedule plus an
 /// update-op fault model.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChaosSpec {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ChaosSpec<'a> {
     /// Timed plant and controller faults (need not be sorted).
-    pub events: Vec<FaultEvent>,
+    pub events: &'a [FaultEvent],
     /// Per-attempt update-op faults.
     pub op_faults: OpFaultModel,
 }
 
-impl ChaosSpec {
-    /// A scenario with no faults at all (useful as a baseline run).
+impl ChaosSpec<'_> {
+    /// No faults at all (the fault-free baseline run).
     pub fn quiet() -> Self {
         ChaosSpec {
-            events: Vec::new(),
+            events: &[],
             op_faults: OpFaultModel::none(),
         }
     }

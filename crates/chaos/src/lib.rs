@@ -12,7 +12,7 @@
 //! * **seeded injection** ([`OpFaultModel`], [`seeded_scenario`]):
 //!   deterministic per-attempt faults on update operations and full
 //!   scenario timelines reproducible from a seed;
-//! * a **hardened controller loop** ([`run_chaos`]) that plans on the
+//! * a **hardened controller loop** ([`run_chaos_probed`]) that plans on the
 //!   detection-delayed *believed* plant, executes updates with retry /
 //!   backoff / dependent-subtree abort, runs each slot on the *achieved*
 //!   state, blackholes circuits over undetected cuts, degrades to the
@@ -33,13 +33,11 @@ pub mod runner;
 pub mod telemetry;
 
 pub use attack::{
-    recovery_metrics, run_attack, run_attack_explained, AttackOutcome, AttackTimeline,
-    ComposedScenario, RecoveryMetrics,
+    recovery_metrics, run_attack, AttackOutcome, AttackSpec, AttackTimeline, ComposedScenario,
+    RecoveryMetrics,
 };
 pub use fault::{plants_equal, FaultEvent, FaultKind, FaultState};
 pub use inject::{seeded_scenario, ChaosSpec, OpFaultModel};
-pub use runner::{
-    run_chaos, run_chaos_explained, run_chaos_traced, AuditHook, ChaosConfig, ChaosResult,
-    ChaosStats, SlotAudit,
-};
+pub use owan_sim::{AuditHook, SlotAudit};
+pub use runner::{run_chaos, run_chaos_probed, ChaosConfig, ChaosResult, ChaosStats};
 pub use telemetry::{AttackTelemetry, ChaosTelemetry};

@@ -25,7 +25,7 @@
 //!   instead of erroring out.
 
 use crate::fault::{FaultEvent, FaultKind, FaultState};
-use crate::inject::OpFaultModel;
+use crate::inject::{ChaosSpec, OpFaultModel};
 use crate::telemetry::ChaosTelemetry;
 use owan_core::{build_topology, CircuitBuildConfig};
 use owan_core::{
@@ -33,13 +33,14 @@ use owan_core::{
 };
 use owan_obs::Recorder;
 use owan_optical::{FiberId, FiberPlant, SiteId};
-use owan_scope::{ScopeRecorder, SlotObservation};
-use owan_sim::{build_scope_rows, plan_is_feasible, CompletionRecord, Failure};
-use owan_update::{
-    execute_plan, plan_consistent, throughput_timeline, NetworkDelta, OpKind, RetryPolicy,
-    UpdateParams, UpdatePlan,
+use owan_scope::SlotObservation;
+use owan_sim::{
+    book_starvation, build_scope_rows, deliver, plan_is_feasible, start_transfers,
+    transition_factor, update_params, why_samples, AuditHook, CompletionRecord, Failure, Probes,
+    SlotAudit,
 };
-use owan_why::{TransferSample, WhyRecorder, WhySlotObservation};
+use owan_update::{execute_plan, plan_consistent, NetworkDelta, OpKind, RetryPolicy};
+use owan_why::WhySlotObservation;
 use std::collections::{HashMap, HashSet};
 
 const EPS: f64 = 1e-9;
@@ -51,8 +52,6 @@ pub struct ChaosConfig {
     pub slot_len_s: f64,
     /// Safety cap on simulated slots.
     pub max_slots: usize,
-    /// Router path-programming time for the update scheduler.
-    pub path_time_s: f64,
     /// Seconds between a fault striking and the controller seeing it.
     /// Applies to repairs too: a spliced fiber is not trusted instantly.
     pub detection_delay_s: f64,
@@ -72,7 +71,6 @@ impl Default for ChaosConfig {
         ChaosConfig {
             slot_len_s: 300.0,
             max_slots: 2000,
-            path_time_s: 0.1,
             detection_delay_s: 30.0,
             retry: RetryPolicy::default(),
             attack_flags: Vec::new(),
@@ -105,8 +103,8 @@ pub struct ChaosStats {
     pub blackhole_gbits: f64,
 }
 
-/// Outcome of a chaos run. Mirrors `ControllerResult` plus fault
-/// accounting.
+/// Outcome of a chaos run: the charged-transition outcome of
+/// `owan_sim::run_controller` plus fault accounting.
 #[derive(Debug, Clone)]
 pub struct ChaosResult {
     /// Per-transfer outcomes, ordered by id.
@@ -145,42 +143,9 @@ impl ChaosResult {
     }
 }
 
-/// Everything an external checker needs to audit one slot: the world as
-/// the controller believed it, the transfers it planned for, the plan it
-/// targeted, and the update schedule it executed. The oracle hooks in
-/// here; returning an error aborts the run with that message.
-pub struct SlotAudit<'a> {
-    /// Slot index.
-    pub slot: usize,
-    /// Slot start, seconds.
-    pub now_s: f64,
-    /// The plant as the controller believed it (detection-delayed).
-    pub believed_plant: &'a FiberPlant,
-    /// Active transfers the slot planned for.
-    pub transfers: &'a [Transfer],
-    /// The target plan for the slot (engine output, or the fallback).
-    pub plan: &'a SlotPlan,
-    /// The delta from the achieved data-plane state into this plan
-    /// (absent on the first slot).
-    pub delta: Option<&'a NetworkDelta>,
-    /// The scheduled update into this plan (absent on the first slot).
-    pub update: Option<&'a UpdatePlan>,
-    /// The update-scheduler parameters the run is using.
-    pub params: UpdateParams,
-    /// Slot length, seconds.
-    pub slot_len_s: f64,
-    /// True when the slot degraded to the filtered previous topology.
-    pub used_fallback: bool,
-}
-
-/// Per-slot audit hook type.
-pub type AuditHook<'a> = dyn FnMut(&SlotAudit) -> Result<(), String> + 'a;
-
 /// Runs the hardened controller loop over `events`, injecting op faults
-/// from `op_faults`. `make_engine` builds a fresh engine from the
-/// believed plant — called once at start and again after every crash
-/// (stateless restart). `audit`, when given, is invoked every planned
-/// slot; an `Err` aborts the run.
+/// from `op_faults`, with only the telemetry tier attached (see
+/// [`run_chaos_probed`]).
 #[allow(clippy::too_many_arguments)]
 pub fn run_chaos(
     plant: &FiberPlant,
@@ -192,75 +157,50 @@ pub fn run_chaos(
     recorder: &Recorder,
     audit: Option<&mut AuditHook>,
 ) -> Result<ChaosResult, String> {
-    run_chaos_traced(
-        plant,
-        requests,
-        make_engine,
-        config,
+    let probes = Probes {
+        recorder: recorder.clone(),
+        ..Probes::off()
+    };
+    let faults = ChaosSpec {
         events,
-        op_faults,
-        recorder,
-        &ScopeRecorder::disabled(),
-        audit,
-    )
+        op_faults: *op_faults,
+    };
+    run_chaos_probed(plant, requests, make_engine, config, faults, &probes, audit)
 }
 
-/// [`run_chaos`] with a flight recorder attached. Besides the sim-side
-/// scope data (transfer lifecycle, flight frames, spans), the chaos loop
-/// contributes what only it knows: the believed-vs-actual failure sets
-/// per slot, per-slot fault events, and the anomaly triggers —
-/// `plan.infeasible` (fallback slot), `update.retry_exhausted` (op
-/// subtree aborted), `blackhole.undetected_cut` (paths dark under an
-/// undetected cut). The *first* anomaly freezes the flight ring into a
-/// deterministic dump.
-#[allow(clippy::too_many_arguments)]
-pub fn run_chaos_traced(
+/// Runs the hardened controller loop under `faults`. `make_engine` builds
+/// a fresh engine from the believed plant — called once at start and
+/// again after every crash (stateless restart). `audit`, when given, is
+/// invoked every planned slot; an `Err` aborts the run.
+///
+/// Besides the sim-side probe data (transfer lifecycle, flight frames,
+/// spans), the chaos loop contributes what only it knows. To the scope:
+/// the believed-vs-actual failure sets per slot, per-slot fault events,
+/// and the anomaly triggers — `plan.infeasible` (fallback slot),
+/// `update.retry_exhausted` (op subtree aborted),
+/// `blackhole.undetected_cut` (paths dark under an undetected cut); the
+/// *first* anomaly freezes the flight ring into a deterministic dump. To
+/// the why recorder: the pre-blackhole (`full`) and post-blackhole
+/// (`live`) rate of every achieved allocation, the transition scale, the
+/// slot's fault labels, and whether an attack wave was active — exactly
+/// the inputs the attribution engine needs to reproduce the runner's
+/// booked blackhole-Gb figure bit-for-bit.
+pub fn run_chaos_probed(
     plant: &FiberPlant,
     requests: &[TransferRequest],
     make_engine: &mut dyn FnMut(&FiberPlant) -> Box<dyn TrafficEngineer>,
     config: &ChaosConfig,
-    events: &[FaultEvent],
-    op_faults: &OpFaultModel,
-    recorder: &Recorder,
-    scope: &ScopeRecorder,
-    audit: Option<&mut AuditHook>,
-) -> Result<ChaosResult, String> {
-    run_chaos_explained(
-        plant,
-        requests,
-        make_engine,
-        config,
-        events,
-        op_faults,
-        recorder,
-        scope,
-        &WhyRecorder::disabled(),
-        audit,
-    )
-}
-
-/// [`run_chaos_traced`] with the tier-4 attribution/SLO collector on
-/// top. The chaos loop feeds `why` the values only it knows: the
-/// pre-blackhole (`full`) and post-blackhole (`live`) rate of every
-/// achieved allocation, the transition scale, the slot's fault labels,
-/// and whether an attack wave was active — exactly the inputs the
-/// attribution engine needs to reproduce the runner's booked
-/// blackhole-Gb figure bit-for-bit. A tripped SLO monitor freezes the
-/// flight recorder through the existing [`ScopeRecorder::anomaly`]
-/// path, so `verify --replay` reconstructs the dump unchanged.
-#[allow(clippy::too_many_arguments)]
-pub fn run_chaos_explained(
-    plant: &FiberPlant,
-    requests: &[TransferRequest],
-    make_engine: &mut dyn FnMut(&FiberPlant) -> Box<dyn TrafficEngineer>,
-    config: &ChaosConfig,
-    events: &[FaultEvent],
-    op_faults: &OpFaultModel,
-    recorder: &Recorder,
-    scope: &ScopeRecorder,
-    why: &WhyRecorder,
+    faults: ChaosSpec,
+    probes: &Probes,
     mut audit: Option<&mut AuditHook>,
 ) -> Result<ChaosResult, String> {
+    let Probes {
+        recorder,
+        scope,
+        why,
+        ..
+    } = probes;
+    let ChaosSpec { events, op_faults } = faults;
     let theta = plant.params().wavelength_capacity_gbps;
     let scope_on = scope.is_enabled();
     if scope_on {
@@ -274,11 +214,7 @@ pub fn run_chaos_explained(
     // frames and the tier-4 joiner.
     let trace_on = scope_on || why_on;
     let telem = ChaosTelemetry::new(recorder);
-    let params = UpdateParams {
-        theta_gbps: theta,
-        circuit_time_s: plant.params().circuit_reconfig_time_s,
-        path_time_s: config.path_time_s,
-    };
+    let params = update_params(plant);
     let circuit_cfg = CircuitBuildConfig::default();
 
     // Split the timeline: plant faults detect with delay; crashes take
@@ -296,23 +232,7 @@ pub fn run_chaos_explained(
         .collect();
     crash_times.sort_by(|a, b| a.total_cmp(b));
 
-    let mut transfers: Vec<Transfer> = requests
-        .iter()
-        .enumerate()
-        .map(|(id, r)| Transfer::from_request(id, r))
-        .collect();
-    let mut records: Vec<CompletionRecord> = requests
-        .iter()
-        .enumerate()
-        .map(|(id, r)| CompletionRecord {
-            id,
-            volume_gbits: r.volume_gbits,
-            arrival_s: r.arrival_s,
-            deadline_s: r.deadline_s,
-            completion_s: None,
-            gbits_by_deadline: 0.0,
-        })
-        .collect();
+    let (mut transfers, mut records) = start_transfers(requests);
 
     let mut state = FaultState::default();
     // Ground truth for the scope's believed-vs-actual frames: the same
@@ -525,6 +445,9 @@ pub fn run_chaos_explained(
         let mut slot_background = 0.0;
         let mut got_rate = vec![false; transfers.len()];
         let mut per_delivered = trace_on.then(|| vec![0.0f64; transfers.len()]);
+        // Post-blackhole rate of every achieved allocation, in order: the
+        // why feed reuses them so its Gb ledger matches this loop's.
+        let mut live_rates: Vec<f64> = Vec::with_capacity(achieved.allocations.len());
         for (ai, alloc) in achieved.allocations.iter().enumerate() {
             let rate_alloc: f64 = alloc
                 .paths
@@ -532,6 +455,7 @@ pub fn run_chaos_explained(
                 .enumerate()
                 .map(|(pi, (_, r))| r * path_live_frac.get(&(ai, pi)).copied().unwrap_or(1.0))
                 .sum();
+            live_rates.push(rate_alloc);
             let full_alloc = alloc.total_rate();
             let lost = (full_alloc - rate_alloc).max(0.0) * scale * config.slot_len_s;
             if lost > EPS {
@@ -544,29 +468,15 @@ pub fn run_chaos_explained(
             got_rate[alloc.transfer] = true;
             let t = &mut transfers[alloc.transfer];
             let remaining_before = t.remaining_gbits;
-            let rec = &mut records[alloc.transfer];
-            if let Some(d) = t.deadline_s {
-                if d > now {
-                    let usable = (d - now).min(config.slot_len_s);
-                    let by_deadline = (rate * usable).min(t.remaining_gbits);
-                    rec.gbits_by_deadline =
-                        (rec.gbits_by_deadline + by_deadline).min(t.volume_gbits);
-                }
-            }
-            // Completion keys off the effective allocated rate, as in the
-            // fault-free controller: scaled delivery only shifts the
-            // finish instant inside the slot.
-            if rate_alloc * config.slot_len_s + EPS >= t.remaining_gbits {
-                let finish = now + t.remaining_gbits / rate;
-                slot_delivered += t.remaining_gbits;
-                t.remaining_gbits = 0.0;
-                rec.completion_s = Some(finish);
-                makespan_s = makespan_s.max(finish);
-            } else {
-                let vol = rate * config.slot_len_s;
-                t.remaining_gbits -= vol;
-                slot_delivered += vol;
-            }
+            slot_delivered += deliver(
+                t,
+                &mut records[alloc.transfer],
+                rate_alloc,
+                rate,
+                now,
+                config.slot_len_s,
+                &mut makespan_s,
+            );
             if !is_attack(alloc.transfer) {
                 slot_background += remaining_before - t.remaining_gbits;
             }
@@ -581,18 +491,7 @@ pub fn run_chaos_explained(
             victim_utilization(&achieved, &config.victim_links, theta),
         ));
 
-        // Starvation bookkeeping feeds the §3.2 guard in the engine.
-        let mut queue_depth = 0usize;
-        for t in transfers.iter_mut() {
-            if t.arrival_s <= now + EPS && !t.is_complete() {
-                if got_rate[t.id] {
-                    t.starved_slots = 0;
-                } else {
-                    t.starved_slots += 1;
-                    queue_depth += 1;
-                }
-            }
-        }
+        let queue_depth = book_starvation(&mut transfers, &got_rate, now);
 
         if let Some(delivered) = &per_delivered {
             // Fold in every plant event that struck during this slot —
@@ -670,47 +569,12 @@ pub fn run_chaos_explained(
                 scope.anomaly("blackhole.undetected_cut", slot);
             }
             if why_on {
-                // Tier-4 feed: recompute each achieved allocation's
-                // full and live rate with the exact expressions the
-                // delivery loop used, in the same order, so the why
-                // report's Gb ledger reproduces `stats.blackhole_gbits`
-                // bit-for-bit.
-                let mut samples: Vec<TransferSample> = Vec::with_capacity(active.len());
-                let mut sampled = vec![false; transfers.len()];
-                for (ai, alloc) in achieved.allocations.iter().enumerate() {
-                    let rate_alloc: f64 = alloc
-                        .paths
-                        .iter()
-                        .enumerate()
-                        .map(|(pi, (_, r))| {
-                            r * path_live_frac.get(&(ai, pi)).copied().unwrap_or(1.0)
-                        })
-                        .sum();
-                    let full_alloc = alloc.total_rate();
-                    sampled[alloc.transfer] = true;
-                    samples.push(TransferSample {
-                        id: alloc.transfer,
-                        full_rate_gbps: full_alloc,
-                        live_rate_gbps: rate_alloc,
-                        delivered_gbits: delivered[alloc.transfer],
-                        remaining_gbits: transfers[alloc.transfer].remaining_gbits,
-                        completion_s: records[alloc.transfer].completion_s,
-                        queued: full_alloc <= EPS,
-                    });
-                }
-                for t in &active {
-                    if !sampled[t.id] {
-                        samples.push(TransferSample {
-                            id: t.id,
-                            full_rate_gbps: 0.0,
-                            live_rate_gbps: 0.0,
-                            delivered_gbits: 0.0,
-                            remaining_gbits: transfers[t.id].remaining_gbits,
-                            completion_s: records[t.id].completion_s,
-                            queued: true,
-                        });
-                    }
-                }
+                let rates = achieved
+                    .allocations
+                    .iter()
+                    .zip(&live_rates)
+                    .map(|(a, &live)| (a.transfer, a.total_rate(), live));
+                let samples = why_samples(rates, &active, delivered, &transfers, &records);
                 let attack_active = active.iter().any(|t| is_attack(t.id));
                 if let Some(reason) = why.observe_slot(&WhySlotObservation {
                     slot,
@@ -762,15 +626,7 @@ fn victim_utilization(plan: &SlotPlan, victims: &[(SiteId, SiteId)], theta: f64)
     if victims.is_empty() {
         return 0.0;
     }
-    let mut load: HashMap<(SiteId, SiteId), f64> = HashMap::new();
-    for alloc in &plan.allocations {
-        for (nodes, r) in &alloc.paths {
-            for w in nodes.windows(2) {
-                let key = (w[0].min(w[1]), w[0].max(w[1]));
-                *load.entry(key).or_insert(0.0) += *r;
-            }
-        }
-    }
+    let load = link_loads(&plan.allocations);
     let mut peak: f64 = 0.0;
     for &(u, v) in victims {
         let key = (u.min(v), u.max(v));
@@ -783,6 +639,20 @@ fn victim_utilization(plan: &SlotPlan, victims: &[(SiteId, SiteId)], theta: f64)
         }
     }
     peak
+}
+
+/// Summed path rate over every network link (normalized `u < v`).
+fn link_loads(allocations: &[Allocation]) -> HashMap<(SiteId, SiteId), f64> {
+    let mut load: HashMap<(SiteId, SiteId), f64> = HashMap::new();
+    for alloc in allocations {
+        for (nodes, r) in &alloc.paths {
+            for w in nodes.windows(2) {
+                let key = (w[0].min(w[1]), w[0].max(w[1]));
+                *load.entry(key).or_insert(0.0) += r;
+            }
+        }
+    }
+    load
 }
 
 /// Stable label for an active failure in flight-dump frames.
@@ -885,17 +755,8 @@ fn fallback_plan(
 /// Uniformly scales `allocations` down so no link carries more than its
 /// capacity in `topo`. A no-op when everything already fits.
 fn scale_to_capacity(allocations: &mut [Allocation], topo: &Topology, theta: f64) {
-    let mut load: HashMap<(SiteId, SiteId), f64> = HashMap::new();
-    for alloc in allocations.iter() {
-        for (nodes, r) in &alloc.paths {
-            for w in nodes.windows(2) {
-                let key = (w[0].min(w[1]), w[0].max(w[1]));
-                *load.entry(key).or_insert(0.0) += r;
-            }
-        }
-    }
     let mut overload: f64 = 1.0;
-    for (&(u, v), &l) in &load {
+    for (&(u, v), &l) in &link_loads(allocations) {
         let cap = topo.multiplicity(u, v) as f64 * theta;
         if cap <= EPS {
             if l > EPS {
@@ -1013,39 +874,6 @@ fn achieved_state(
         allocations,
         throughput_gbps,
     }
-}
-
-/// How much of a slot each transition actually carried: the timeline of
-/// the *executed* plan (actual post-retry op times, aborted ops absent)
-/// integrated over the transition window, then steady at the achieved
-/// rate. Returns `(scale, loss_gbits)` like the fault-free controller.
-fn transition_factor(
-    delta: &NetworkDelta,
-    executed: &UpdatePlan,
-    params: &UpdateParams,
-    slot_len_s: f64,
-    achieved_total_gbps: f64,
-) -> (f64, f64) {
-    if executed.ops.is_empty() || achieved_total_gbps <= EPS {
-        return (1.0, 0.0);
-    }
-    let window = executed.makespan_s.min(slot_len_s);
-    if window <= EPS {
-        return (1.0, 0.0);
-    }
-    let dt = (window / 64.0).max(0.05);
-    let tl = throughput_timeline(delta, executed, params, dt, window);
-    let mut carried_gbits = 0.0;
-    for w in tl.windows(2) {
-        carried_gbits +=
-            0.5 * (w[0].throughput_gbps + w[1].throughput_gbps) * (w[1].time_s - w[0].time_s);
-    }
-    let ideal_gbits = achieved_total_gbps * window;
-    let steady_gbits = achieved_total_gbps * (slot_len_s - window);
-    let slot_ideal = achieved_total_gbps * slot_len_s;
-    let delivered = carried_gbits + steady_gbits;
-    let scale = (delivered / slot_ideal).clamp(0.0, 1.0);
-    (scale, (ideal_gbits - carried_gbits).max(0.0))
 }
 
 /// For every path in `achieved`, the fraction of the slot it actually

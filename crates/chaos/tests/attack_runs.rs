@@ -2,11 +2,14 @@
 //! with fault timelines, driven through the hardened controller, with
 //! recovery measured against the fault-free baseline.
 
-use owan_chaos::{run_attack, AttackTimeline, ChaosConfig, FaultEvent, FaultKind, OpFaultModel};
+use owan_chaos::{
+    run_attack, AttackSpec, AttackTimeline, ChaosConfig, ChaosSpec, FaultEvent, FaultKind,
+    OpFaultModel,
+};
 use owan_core::{default_topology, OwanConfig, OwanEngine, TrafficEngineer, TransferRequest};
 use owan_obs::Recorder;
 use owan_optical::FiberPlant;
-use owan_scope::ScopeRecorder;
+use owan_sim::Probes;
 use owan_workload::attack::{coremelt, flash_crowd, CoremeltConfig, FlashCrowdConfig};
 use owan_workload::{generate, WorkloadConfig};
 
@@ -51,18 +54,25 @@ fn coremelt_run_tracks_background_and_victims() {
     cm.intensity = 0.8;
     let timeline = AttackTimeline::new(vec![coremelt(&net.plant, &cm)]);
     let recorder = Recorder::enabled();
+    let probes = Probes {
+        recorder: recorder.clone(),
+        ..Probes::off()
+    };
     let mut factory = make_factory();
     let outcome = run_attack(
         &net.plant,
         &bg,
-        &timeline,
         &mut factory,
         &config(24),
-        0.9,
-        &[],
-        &OpFaultModel::none(),
-        &recorder,
-        &ScopeRecorder::disabled(),
+        AttackSpec {
+            timeline: &timeline,
+            faults: ChaosSpec {
+                events: &[],
+                op_faults: OpFaultModel::none(),
+            },
+            restore_fraction: 0.9,
+        },
+        &probes,
         None,
     )
     .expect("attack run");
@@ -108,14 +118,17 @@ fn flash_crowd_composes_with_a_fiber_cut() {
     let outcome = run_attack(
         &net.plant,
         &bg,
-        &timeline,
         &mut factory,
         &config(24),
-        0.9,
-        &events,
-        &OpFaultModel::none(),
-        &Recorder::disabled(),
-        &ScopeRecorder::disabled(),
+        AttackSpec {
+            timeline: &timeline,
+            faults: ChaosSpec {
+                events: &events,
+                op_faults: OpFaultModel::none(),
+            },
+            restore_fraction: 0.9,
+        },
+        &Probes::off(),
         None,
     )
     .expect("attack+fault run");
@@ -142,14 +155,17 @@ fn attack_runs_are_deterministic_per_seed() {
         run_attack(
             &net.plant,
             &bg,
-            &timeline,
             &mut factory,
             &config(20),
-            0.9,
-            &[],
-            &OpFaultModel::none(),
-            &Recorder::disabled(),
-            &ScopeRecorder::disabled(),
+            AttackSpec {
+                timeline: &timeline,
+                faults: ChaosSpec {
+                    events: &[],
+                    op_faults: OpFaultModel::none(),
+                },
+                restore_fraction: 0.9,
+            },
+            &Probes::off(),
             None,
         )
         .expect("attack run")

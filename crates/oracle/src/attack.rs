@@ -12,13 +12,9 @@
 
 use crate::chaos::{chaos_events_for, ChaosReplayConfig};
 use crate::fuzz::Scenario;
-use crate::invariants::{check_plan, check_timeline};
-use crate::replay::ReplayFailure;
-use owan_chaos::{run_attack, AttackOutcome, AttackTimeline, ChaosConfig, OpFaultModel};
-use owan_core::{default_topology, AnnealConfig, OwanConfig, OwanEngine, TrafficEngineer};
-use owan_obs::Recorder;
-use owan_scope::ScopeRecorder;
-use owan_update::RetryPolicy;
+use crate::replay::{audit_slot, AuditLog, ReplayFailure};
+use owan_chaos::{run_attack, AttackSpec, AttackTimeline, ChaosSpec};
+use owan_sim::{AuditHook, Probes, SlotAudit};
 use owan_workload::attack::{coremelt, flash_crowd, AttackWave, CoremeltConfig, FlashCrowdConfig};
 
 /// Derives a deterministic attack timeline for a fuzz scenario: a
@@ -53,9 +49,9 @@ pub fn attack_timeline_for(scenario: &Scenario) -> AttackTimeline {
 pub struct AttackReplayStats {
     /// Slots the hardened controller planned in (attacked run).
     pub slots: usize,
-    /// Plans checked with [`check_plan`].
+    /// Plans checked with [`crate::check_plan`].
     pub plans_checked: usize,
-    /// Update schedules checked with [`check_timeline`].
+    /// Update schedules checked with [`crate::check_timeline`].
     pub updates_checked: usize,
     /// Attack waves composed into the scenario.
     pub waves: usize,
@@ -67,100 +63,51 @@ pub struct AttackReplayStats {
 }
 
 /// Replays one fuzz scenario with its derived attack timeline composed
-/// into the fault timeline, auditing every attacked slot.
+/// into the fault timeline, auditing every attacked slot with
+/// [`audit_slot`]. Attack counters land under `chaos.attack.*` and the
+/// hardened loop's timeline flows into `probes`.
 pub fn replay_attack_scenario(
     scenario: &Scenario,
     config: &ChaosReplayConfig,
+    probes: &Probes,
 ) -> Result<AttackReplayStats, ReplayFailure> {
-    replay_attack_scenario_traced(
-        scenario,
-        config,
-        &Recorder::disabled(),
-        &ScopeRecorder::disabled(),
-    )
+    replay_attack_audited(scenario, config, probes, &mut |a: &SlotAudit| {
+        audit_slot(a, probes)
+    })
 }
 
-/// [`replay_attack_scenario`] with observability attached: invariant
-/// checks count on `recorder` (`oracle.invariant_checked` /
-/// `oracle.invariant_violated`), attack counters land under
-/// `chaos.attack.*`, and the hardened loop's timeline flows into `scope`.
-pub fn replay_attack_scenario_traced(
+/// [`replay_attack_scenario`] with `check` as the per-slot audit.
+fn replay_attack_audited(
     scenario: &Scenario,
     config: &ChaosReplayConfig,
-    recorder: &Recorder,
-    scope: &ScopeRecorder,
+    probes: &Probes,
+    check: &mut AuditHook,
 ) -> Result<AttackReplayStats, ReplayFailure> {
     let timeline = attack_timeline_for(scenario);
     let events = chaos_events_for(scenario);
-    let op_faults = OpFaultModel {
-        seed: scenario.seed,
-        timeout_prob: config.timeout_prob,
-        fail_prob: config.fail_prob,
+    let attack = AttackSpec {
+        timeline: &timeline,
+        faults: ChaosSpec {
+            events: &events,
+            op_faults: config.op_faults(scenario),
+        },
+        restore_fraction: 0.9,
     };
-    let chaos_config = ChaosConfig {
-        slot_len_s: scenario.slot_len_s,
-        max_slots: scenario.max_slots,
-        detection_delay_s: config.detection_delay_s,
-        retry: RetryPolicy::default(),
-        ..Default::default()
-    };
-    let seed = scenario.seed;
-    let iterations = config.anneal_iterations;
-    let mut make_engine = move |plant: &owan_optical::FiberPlant| {
-        let owan_config = OwanConfig {
-            anneal: AnnealConfig {
-                max_iterations: iterations,
-                seed: seed.wrapping_add(1),
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        Box::new(OwanEngine::new(default_topology(plant), owan_config)) as Box<dyn TrafficEngineer>
-    };
-
-    let checked = recorder.counter("oracle.invariant_checked");
-    let violated = recorder.counter("oracle.invariant_violated");
-    let mut plans_checked = 0usize;
-    let mut updates_checked = 0usize;
-    let mut audit = |a: &owan_chaos::SlotAudit| -> Result<(), String> {
-        checked.add(1);
-        if let Err(v) = check_plan(a.believed_plant, a.transfers, a.slot_len_s, a.plan) {
-            violated.add(1);
-            scope.anomaly("oracle.invariant_violated", a.slot);
-            return Err(format!("slot plan: {v}"));
-        }
-        plans_checked += 1;
-        if let (Some(delta), Some(update)) = (a.delta, a.update) {
-            checked.add(1);
-            if let Err(v) = check_timeline(delta, update, &a.params) {
-                violated.add(1);
-                scope.anomaly("oracle.invariant_violated", a.slot);
-                return Err(format!("update: {v}"));
-            }
-            updates_checked += 1;
-        }
-        Ok(())
-    };
-
-    let outcome: AttackOutcome = run_attack(
+    let mut log = AuditLog::default();
+    let outcome = run_attack(
         &scenario.plant,
         &scenario.requests,
-        &timeline,
-        &mut make_engine,
-        &chaos_config,
-        0.9,
-        &events,
-        &op_faults,
-        recorder,
-        scope,
-        Some(&mut audit),
-    )
-    .map_err(|message| ReplayFailure { slot: 0, message })?;
-
+        &mut config.engines(scenario),
+        &config.chaos_config(scenario),
+        attack,
+        probes,
+        Some(&mut |a: &SlotAudit| log.check(a, check)),
+    );
+    let outcome = outcome.map_err(|message| log.failure(message))?;
     Ok(AttackReplayStats {
         slots: outcome.attacked.slots,
-        plans_checked,
-        updates_checked,
+        plans_checked: log.plans_checked,
+        updates_checked: log.updates_checked,
         waves: timeline.waves().len(),
         restored_slots: outcome.metrics.restored_slots,
         recovered: outcome.metrics.time_to_restore_slots.is_some(),
@@ -184,29 +131,19 @@ pub struct AttackFuzzStats {
     pub recovered: usize,
 }
 
-/// Sweeps `count` seeds starting at `start` through attack replay. On a
-/// violation, returns the failing seed with the failure.
+/// Sweeps `count` seeds starting at `start` through attack replay, every
+/// check counted on `probes`. On a violation, returns the failing seed
+/// with the failure.
 pub fn fuzz_attack(
     start: u64,
     count: u64,
     config: &ChaosReplayConfig,
-) -> Result<AttackFuzzStats, (u64, ReplayFailure)> {
-    fuzz_attack_observed(start, count, config, &Recorder::disabled())
-}
-
-/// [`fuzz_attack`] with every invariant check counted on `recorder`.
-pub fn fuzz_attack_observed(
-    start: u64,
-    count: u64,
-    config: &ChaosReplayConfig,
-    recorder: &Recorder,
+    probes: &Probes,
 ) -> Result<AttackFuzzStats, (u64, ReplayFailure)> {
     let mut stats = AttackFuzzStats::default();
     for seed in start..start + count {
         let scenario = Scenario::generate(seed);
-        let s =
-            replay_attack_scenario_traced(&scenario, config, recorder, &ScopeRecorder::disabled())
-                .map_err(|f| (seed, f))?;
+        let s = replay_attack_scenario(&scenario, config, probes).map_err(|f| (seed, f))?;
         stats.scenarios += 1;
         stats.slots += s.slots;
         stats.plans_checked += s.plans_checked;
@@ -231,10 +168,31 @@ mod tests {
     #[test]
     fn single_attack_replay_is_clean() {
         let s = Scenario::generate(4);
-        let stats = replay_attack_scenario(&s, &ChaosReplayConfig::default())
+        let stats = replay_attack_scenario(&s, &ChaosReplayConfig::default(), &Probes::off())
             .unwrap_or_else(|f| panic!("seed 4 violated: {f}"));
         assert!(stats.plans_checked > 0);
         assert_eq!(stats.plans_checked, stats.slots);
         assert!(stats.waves > 0);
+    }
+
+    #[test]
+    fn audit_failure_carries_the_rejected_slot() {
+        let s = Scenario::generate(4);
+        let mut rejected = None;
+        let failure = replay_attack_audited(
+            &s,
+            &ChaosReplayConfig::default(),
+            &Probes::off(),
+            &mut |a: &SlotAudit| {
+                if a.slot < 2 {
+                    return Ok(());
+                }
+                rejected = Some(a.slot);
+                Err(String::from("planted"))
+            },
+        )
+        .expect_err("the hook rejects a slot");
+        assert_eq!(Some(failure.slot), rejected);
+        assert_eq!(failure.message, "planted");
     }
 }

@@ -5,20 +5,17 @@
 //! one-way failure injections, this module replays full chaos timelines
 //! — cuts that heal, sites that blink, amplifier degradation, injected
 //! update-op faults, controller crashes — through
-//! [`owan_chaos::run_chaos`], with [`check_plan`] asserting every slot's
-//! cross-layer invariants on the *believed* plant and [`check_timeline`]
-//! asserting blackhole/loop/overload freedom of every executed update
-//! schedule. [`fuzz_chaos`] sweeps seed ranges.
+//! [`owan_chaos::run_chaos_probed`], with [`audit_slot`] asserting every
+//! slot's cross-layer invariants on the *believed* plant and
+//! blackhole/loop/overload freedom of every executed update schedule.
+//! [`fuzz_chaos`] sweeps seed ranges.
 
 use crate::fuzz::Scenario;
-use crate::invariants::{check_plan, check_timeline};
-use crate::replay::ReplayFailure;
-use owan_chaos::{run_chaos_traced, ChaosConfig, ChaosResult, FaultEvent, FaultKind, OpFaultModel};
-use owan_core::{default_topology, AnnealConfig, OwanConfig, OwanEngine, TrafficEngineer};
-use owan_obs::Recorder;
-use owan_scope::ScopeRecorder;
-use owan_sim::Failure;
-use owan_update::RetryPolicy;
+use crate::replay::{audit_slot, owan_engine, AuditLog, ReplayFailure};
+use owan_chaos::{run_chaos_probed, ChaosConfig, ChaosSpec, FaultEvent, FaultKind, OpFaultModel};
+use owan_core::TrafficEngineer;
+use owan_optical::FiberPlant;
+use owan_sim::{AuditHook, Failure, Probes, SlotAudit};
 
 /// Chaos-replay tunables.
 #[derive(Debug, Clone, Copy)]
@@ -45,14 +42,47 @@ impl Default for ChaosReplayConfig {
     }
 }
 
+impl ChaosReplayConfig {
+    /// The hardened-loop configuration for replaying `scenario`.
+    pub(crate) fn chaos_config(&self, scenario: &Scenario) -> ChaosConfig {
+        ChaosConfig {
+            slot_len_s: scenario.slot_len_s,
+            max_slots: scenario.max_slots,
+            detection_delay_s: self.detection_delay_s,
+            ..Default::default()
+        }
+    }
+
+    /// The update-op fault model for replaying `scenario`.
+    pub(crate) fn op_faults(&self, scenario: &Scenario) -> OpFaultModel {
+        OpFaultModel {
+            seed: scenario.seed,
+            timeout_prob: self.timeout_prob,
+            fail_prob: self.fail_prob,
+        }
+    }
+
+    /// The engine factory for replaying `scenario`: a fresh Owan engine
+    /// on the believed plant, at start and after every crash.
+    pub(crate) fn engines(
+        &self,
+        scenario: &Scenario,
+    ) -> impl FnMut(&FiberPlant) -> Box<dyn TrafficEngineer> {
+        let (iterations, seed) = (self.anneal_iterations, scenario.seed);
+        move |plant: &FiberPlant| {
+            Box::new(owan_engine(plant, iterations, seed)) as Box<dyn TrafficEngineer>
+        }
+    }
+}
+
 /// What a clean chaos replay covered.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ChaosReplayStats {
     /// Slots the hardened controller planned in.
     pub slots: usize,
-    /// Plans checked with [`check_plan`].
+    /// Plans checked with [`crate::check_plan`].
     pub plans_checked: usize,
-    /// Update schedules checked with [`check_timeline`].
+    /// Update schedules checked with [`crate::check_timeline`].
     pub updates_checked: usize,
     /// Transfers that completed within the horizon.
     pub completed: usize,
@@ -88,100 +118,47 @@ pub fn chaos_events_for(scenario: &Scenario) -> Vec<FaultEvent> {
     events
 }
 
-/// Replays one scenario through the hardened controller, checking every
-/// planned slot and every executed update schedule.
+/// Replays one scenario through the hardened controller, auditing every
+/// planned slot and every executed update schedule with [`audit_slot`].
+/// The hardened loop's timeline flows into `probes`, so a violation
+/// freezes a flight dump covering the slots leading up to it.
 pub fn replay_chaos_scenario(
     scenario: &Scenario,
     config: &ChaosReplayConfig,
+    probes: &Probes,
 ) -> Result<ChaosReplayStats, ReplayFailure> {
-    replay_chaos_scenario_traced(
-        scenario,
-        config,
-        &Recorder::disabled(),
-        &ScopeRecorder::disabled(),
-    )
+    replay_chaos_audited(scenario, config, probes, &mut |a: &SlotAudit| {
+        audit_slot(a, probes)
+    })
 }
 
-/// [`replay_chaos_scenario`] with observability attached: every invariant
-/// check is counted on `recorder` (`oracle.invariant_checked` /
-/// `oracle.invariant_violated`), the hardened loop's slot timeline flows
-/// into `scope`, and a violation triggers a flight-recorder dump
-/// (`oracle.invariant_violated` anomaly) covering the slots leading up to
-/// it. With both disabled this is exactly [`replay_chaos_scenario`].
-pub fn replay_chaos_scenario_traced(
+/// [`replay_chaos_scenario`] with `check` as the per-slot audit.
+fn replay_chaos_audited(
     scenario: &Scenario,
     config: &ChaosReplayConfig,
-    recorder: &Recorder,
-    scope: &ScopeRecorder,
+    probes: &Probes,
+    check: &mut AuditHook,
 ) -> Result<ChaosReplayStats, ReplayFailure> {
     let events = chaos_events_for(scenario);
-    let op_faults = OpFaultModel {
-        seed: scenario.seed,
-        timeout_prob: config.timeout_prob,
-        fail_prob: config.fail_prob,
+    let faults = ChaosSpec {
+        events: &events,
+        op_faults: config.op_faults(scenario),
     };
-    let chaos_config = ChaosConfig {
-        slot_len_s: scenario.slot_len_s,
-        max_slots: scenario.max_slots,
-        detection_delay_s: config.detection_delay_s,
-        retry: RetryPolicy::default(),
-        ..Default::default()
-    };
-    let seed = scenario.seed;
-    let iterations = config.anneal_iterations;
-    let mut make_engine = move |plant: &owan_optical::FiberPlant| {
-        let owan_config = OwanConfig {
-            anneal: AnnealConfig {
-                max_iterations: iterations,
-                seed: seed.wrapping_add(1),
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        Box::new(OwanEngine::new(default_topology(plant), owan_config)) as Box<dyn TrafficEngineer>
-    };
-
-    let checked = recorder.counter("oracle.invariant_checked");
-    let violated = recorder.counter("oracle.invariant_violated");
-    let mut plans_checked = 0usize;
-    let mut updates_checked = 0usize;
-    let mut audit = |a: &owan_chaos::SlotAudit| -> Result<(), String> {
-        checked.add(1);
-        if let Err(v) = check_plan(a.believed_plant, a.transfers, a.slot_len_s, a.plan) {
-            violated.add(1);
-            scope.anomaly("oracle.invariant_violated", a.slot);
-            return Err(format!("slot plan: {v}"));
-        }
-        plans_checked += 1;
-        if let (Some(delta), Some(update)) = (a.delta, a.update) {
-            checked.add(1);
-            if let Err(v) = check_timeline(delta, update, &a.params) {
-                violated.add(1);
-                scope.anomaly("oracle.invariant_violated", a.slot);
-                return Err(format!("update: {v}"));
-            }
-            updates_checked += 1;
-        }
-        Ok(())
-    };
-
-    let result: ChaosResult = run_chaos_traced(
+    let mut log = AuditLog::default();
+    let result = run_chaos_probed(
         &scenario.plant,
         &scenario.requests,
-        &mut make_engine,
-        &chaos_config,
-        &events,
-        &op_faults,
-        recorder,
-        scope,
-        Some(&mut audit),
-    )
-    .map_err(|message| ReplayFailure { slot: 0, message })?;
-
+        &mut config.engines(scenario),
+        &config.chaos_config(scenario),
+        faults,
+        probes,
+        Some(&mut |a: &SlotAudit| log.check(a, check)),
+    );
+    let result = result.map_err(|message| log.failure(message))?;
     Ok(ChaosReplayStats {
         slots: result.slots,
-        plans_checked,
-        updates_checked,
+        plans_checked: log.plans_checked,
+        updates_checked: log.updates_checked,
         completed: result
             .completions
             .iter()
@@ -207,29 +184,19 @@ pub struct ChaosFuzzStats {
     pub crashes: u64,
 }
 
-/// Sweeps `count` seeds starting at `start` through chaos replay. On a
-/// violation, returns the failing seed with the failure.
+/// Sweeps `count` seeds starting at `start` through chaos replay, every
+/// check counted on `probes`. On a violation, returns the failing seed
+/// with the failure.
 pub fn fuzz_chaos(
     start: u64,
     count: u64,
     config: &ChaosReplayConfig,
-) -> Result<ChaosFuzzStats, (u64, ReplayFailure)> {
-    fuzz_chaos_observed(start, count, config, &Recorder::disabled())
-}
-
-/// [`fuzz_chaos`] with every invariant check counted on `recorder`.
-pub fn fuzz_chaos_observed(
-    start: u64,
-    count: u64,
-    config: &ChaosReplayConfig,
-    recorder: &Recorder,
+    probes: &Probes,
 ) -> Result<ChaosFuzzStats, (u64, ReplayFailure)> {
     let mut stats = ChaosFuzzStats::default();
     for seed in start..start + count {
         let scenario = Scenario::generate(seed);
-        let s =
-            replay_chaos_scenario_traced(&scenario, config, recorder, &ScopeRecorder::disabled())
-                .map_err(|f| (seed, f))?;
+        let s = replay_chaos_scenario(&scenario, config, probes).map_err(|f| (seed, f))?;
         stats.scenarios += 1;
         stats.slots += s.slots;
         stats.plans_checked += s.plans_checked;
@@ -258,9 +225,36 @@ mod tests {
     #[test]
     fn single_chaos_replay_is_clean() {
         let s = Scenario::generate(3);
-        let stats = replay_chaos_scenario(&s, &ChaosReplayConfig::default())
+        let stats = replay_chaos_scenario(&s, &ChaosReplayConfig::default(), &Probes::off())
             .unwrap_or_else(|f| panic!("seed 3 violated: {f}"));
         assert!(stats.plans_checked > 0);
         assert_eq!(stats.plans_checked, stats.slots);
+    }
+
+    #[test]
+    fn audit_failure_carries_the_rejected_slot() {
+        // A hook that rejects the first audited slot past slot 1: the
+        // failure must name that slot and the hook's own message.
+        let s = Scenario::generate(3);
+        let mut rejected = None;
+        let failure = replay_chaos_audited(
+            &s,
+            &ChaosReplayConfig::default(),
+            &Probes::off(),
+            &mut |a: &SlotAudit| {
+                if a.slot < 2 {
+                    return Ok(());
+                }
+                rejected = Some(a.slot);
+                Err(String::from("planted"))
+            },
+        )
+        .expect_err("the hook rejects a slot");
+        assert_eq!(Some(failure.slot), rejected);
+        assert_eq!(failure.message, "planted");
+        assert_eq!(
+            failure.to_string(),
+            format!("slot {}: planted", failure.slot)
+        );
     }
 }

@@ -22,9 +22,10 @@
 //!    invariant.
 //! 3. **Differential replay** ([`fuzz`], [`replay`]). Seeded random
 //!    scenarios (plants, request streams, failure injections) are driven
-//!    through the real controller slot by slot with every invariant
-//!    checked; a divergence is shrunk to a minimal [`Reproducer`] whose
-//!    seed regenerates it exactly.
+//!    through the production slot loops — `owan-sim`'s and the hardened
+//!    chaos runner — with [`audit_slot`] hooked into every slot; a
+//!    divergence is shrunk to a minimal [`Reproducer`] whose seed
+//!    regenerates it exactly.
 
 pub mod attack;
 pub mod chaos;
@@ -35,12 +36,11 @@ pub mod lp;
 pub mod replay;
 
 pub use attack::{
-    attack_timeline_for, fuzz_attack, fuzz_attack_observed, replay_attack_scenario,
-    replay_attack_scenario_traced, AttackFuzzStats, AttackReplayStats,
+    attack_timeline_for, fuzz_attack, replay_attack_scenario, AttackFuzzStats, AttackReplayStats,
 };
 pub use chaos::{
-    chaos_events_for, fuzz_chaos, fuzz_chaos_observed, replay_chaos_scenario,
-    replay_chaos_scenario_traced, ChaosFuzzStats, ChaosReplayConfig, ChaosReplayStats,
+    chaos_events_for, fuzz_chaos, replay_chaos_scenario, ChaosFuzzStats, ChaosReplayConfig,
+    ChaosReplayStats,
 };
 pub use exact::{
     anneal_gap, best_topology_by_enumeration, EnumerationReport, ExactError, GapReport,
@@ -51,6 +51,6 @@ pub use lp::{
     all_simple_paths, check_rates_lp_feasible, greedy_gap, lp_max_throughput, LpReference,
 };
 pub use replay::{
-    fuzz as fuzz_seeds, fuzz_observed as fuzz_seeds_observed, minimize, replay_scenario,
-    replay_scenario_observed, FuzzStats, ReplayConfig, ReplayFailure, ReplayStats, Reproducer,
+    audit_slot, fuzz as fuzz_seeds, minimize, replay_scenario, FuzzStats, ReplayConfig,
+    ReplayFailure, ReplayStats, Reproducer,
 };

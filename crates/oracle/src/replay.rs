@@ -1,27 +1,22 @@
-//! Differential replay: drive the full control loop over fuzzed scenarios
-//! and check every invariant at every slot.
+//! Differential replay: drive the production control loop over fuzzed
+//! scenarios and check every invariant at every slot.
 //!
-//! [`replay_scenario`] runs one [`Scenario`] through an [`OwanEngine`]
-//! slot by slot — admitting requests, applying due failures via
-//! [`degrade_plant`], advancing transfers fluidly — and cross-checks each
-//! emitted plan with [`check_plan`] plus the transition between
-//! consecutive plans with [`check_timeline`]. [`fuzz`] sweeps seed ranges;
-//! on divergence the failing scenario is shrunk by [`minimize`] to a
+//! [`replay_scenario`] runs one [`Scenario`] through
+//! [`owan_sim::simulate_with_failures`] — the same slot loop every
+//! simulator run uses, with its failure timeline, starvation bookkeeping
+//! and dust floor — and audits every slot with [`audit_slot`]:
+//! [`check_plan`] on each emitted plan and [`check_timeline`] on the
+//! update from the previous plan. [`fuzz`] sweeps seed ranges; on
+//! divergence the failing scenario is shrunk by [`minimize`] to a
 //! [`Reproducer`] — a seed plus the surviving request/failure indices,
 //! which regenerate the minimal case exactly (generation is
 //! deterministic).
 
 use crate::fuzz::Scenario;
 use crate::invariants::{check_plan, check_timeline};
-use owan_core::{
-    default_topology, AnnealConfig, OwanConfig, OwanEngine, SlotInput, SlotPlan, TrafficEngineer,
-    Transfer,
-};
-use owan_obs::Recorder;
-use owan_sim::{degrade_plant, plan_is_feasible, Failure};
-use owan_update::{plan_consistent, NetworkDelta, UpdateParams};
-
-const EPS: f64 = 1e-9;
+use owan_core::{default_topology, AnnealConfig, OwanConfig, OwanEngine, TrafficEngineer};
+use owan_optical::FiberPlant;
+use owan_sim::{simulate_with_failures, AuditHook, PlanError, Probes, SimConfig, SlotAudit};
 
 /// Replay tunables. The defaults keep debug-mode replay of one scenario
 /// in the low tens of milliseconds so hundreds of seeds fit in a test.
@@ -31,17 +26,63 @@ pub struct ReplayConfig {
     /// replay shrinks it — the oracle checks hold for *any* iteration
     /// count).
     pub anneal_iterations: usize,
-    /// Also verify the update timeline between consecutive plans.
-    pub check_updates: bool,
 }
 
 impl Default for ReplayConfig {
     fn default() -> Self {
         ReplayConfig {
             anneal_iterations: 40,
-            check_updates: true,
         }
     }
+}
+
+impl ReplayConfig {
+    /// The engine a replay of `scenario` drives: Owan at this iteration
+    /// budget, seeded from the scenario.
+    pub fn engine(&self, scenario: &Scenario) -> OwanEngine {
+        owan_engine(&scenario.plant, self.anneal_iterations, scenario.seed)
+    }
+}
+
+/// The Owan engine every oracle replay drives on `plant`: `iterations`
+/// annealing steps per slot, seeded from the scenario seed.
+pub(crate) fn owan_engine(plant: &FiberPlant, iterations: usize, seed: u64) -> OwanEngine {
+    let config = OwanConfig {
+        anneal: AnnealConfig {
+            max_iterations: iterations,
+            seed: seed.wrapping_add(1),
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    OwanEngine::new(default_topology(plant), config)
+}
+
+/// The oracle's audit of one slot: [`check_plan`] on the plan against the
+/// plant the controller believed, then [`check_timeline`] on the update
+/// into it. Every check counts on `probes.recorder`
+/// (`oracle.invariant_checked` / `oracle.invariant_violated`), and a
+/// violation raises the `oracle.invariant_violated` scope anomaly, which
+/// freezes the flight ring on the slots leading up to it.
+pub fn audit_slot(a: &SlotAudit, probes: &Probes) -> Result<(), String> {
+    let checked = probes.recorder.counter("oracle.invariant_checked");
+    let violated = probes.recorder.counter("oracle.invariant_violated");
+    let reject = |message: String| {
+        violated.add(1);
+        probes.scope.anomaly("oracle.invariant_violated", a.slot);
+        Err(message)
+    };
+    checked.add(1);
+    if let Err(v) = check_plan(a.believed_plant, a.transfers, a.slot_len_s, a.plan) {
+        return reject(format!("slot plan: {v}"));
+    }
+    if let (Some(delta), Some(update)) = (a.delta, a.update) {
+        checked.add(1);
+        if let Err(v) = check_timeline(delta, update, &a.params) {
+            return reject(format!("update: {v}"));
+        }
+    }
+    Ok(())
 }
 
 /// An invariant violation observed during replay.
@@ -49,13 +90,51 @@ impl Default for ReplayConfig {
 pub struct ReplayFailure {
     /// Slot the violation surfaced in.
     pub slot: usize,
-    /// The violated invariant, rendered (`"LinkCapacity: ..."`).
+    /// The violated invariant, rendered (`"slot plan: LinkCapacity: ..."`).
     pub message: String,
 }
 
 impl std::fmt::Display for ReplayFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "slot {}: {}", self.slot, self.message)
+    }
+}
+
+/// Audit bookkeeping for one replay: how many slots and transitions
+/// passed, and the first rejected slot.
+#[derive(Default)]
+pub(crate) struct AuditLog {
+    pub plans_checked: usize,
+    pub updates_checked: usize,
+    rejected: Option<ReplayFailure>,
+}
+
+impl AuditLog {
+    /// Runs `check` on one slot, counting a pass and remembering a
+    /// rejection together with its slot.
+    pub(crate) fn check(&mut self, a: &SlotAudit, check: &mut AuditHook) -> Result<(), String> {
+        match check(a) {
+            Ok(()) => {
+                self.plans_checked += 1;
+                self.updates_checked += usize::from(a.update.is_some());
+                Ok(())
+            }
+            Err(message) => {
+                self.rejected = Some(ReplayFailure {
+                    slot: a.slot,
+                    message: message.clone(),
+                });
+                Err(message)
+            }
+        }
+    }
+
+    /// The failure behind a run that stopped with `message`: the rejected
+    /// slot when the audit stopped it (the only way a chaos run fails).
+    pub(crate) fn failure(&mut self, message: String) -> ReplayFailure {
+        self.rejected
+            .take()
+            .unwrap_or(ReplayFailure { slot: 0, message })
     }
 }
 
@@ -72,151 +151,45 @@ pub struct ReplayStats {
     pub completed: usize,
 }
 
-/// Replays one scenario, checking every invariant at every slot.
+/// Replays one scenario through `engine` (usually
+/// [`ReplayConfig::engine`]), auditing every slot with [`audit_slot`].
 pub fn replay_scenario(
     scenario: &Scenario,
-    config: &ReplayConfig,
+    engine: &mut dyn TrafficEngineer,
+    probes: &Probes,
 ) -> Result<ReplayStats, ReplayFailure> {
-    replay_scenario_observed(scenario, config, &Recorder::disabled())
-}
-
-/// [`replay_scenario`] with every invariant check counted on `recorder`
-/// (`oracle.invariant_checked` / `oracle.invariant_violated`). With a
-/// disabled recorder this is exactly [`replay_scenario`].
-pub fn replay_scenario_observed(
-    scenario: &Scenario,
-    config: &ReplayConfig,
-    recorder: &Recorder,
-) -> Result<ReplayStats, ReplayFailure> {
-    let checked = recorder.counter("oracle.invariant_checked");
-    let violated = recorder.counter("oracle.invariant_violated");
-    let theta = scenario.plant.params().wavelength_capacity_gbps;
-    let update_params = UpdateParams {
-        theta_gbps: theta,
-        circuit_time_s: scenario.plant.params().circuit_reconfig_time_s,
+    let config = SimConfig {
+        slot_len_s: scenario.slot_len_s,
+        max_slots: scenario.max_slots,
         ..Default::default()
     };
-    let owan_config = OwanConfig {
-        anneal: AnnealConfig {
-            max_iterations: config.anneal_iterations,
-            seed: scenario.seed.wrapping_add(1),
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    let mut engine = OwanEngine::new(default_topology(&scenario.plant), owan_config);
-
-    let mut transfers: Vec<Transfer> = scenario
-        .requests
-        .iter()
-        .enumerate()
-        .map(|(id, r)| Transfer::from_request(id, r))
-        .collect();
-
-    let mut stats = ReplayStats::default();
-    let mut current_plant = scenario.plant.clone();
-    let mut applied = 0usize;
-    let mut prev_plan: Option<SlotPlan> = None;
-
-    for slot in 0..scenario.max_slots {
-        let now = slot as f64 * scenario.slot_len_s;
-        stats.slots = slot + 1;
-
-        // Apply failures due by this slot (mirrors `simulate_with_failures`).
-        let due = scenario
-            .failures
-            .iter()
-            .take_while(|e| e.time_s <= now + EPS)
-            .count();
-        if due > applied {
-            let active: Vec<Failure> = scenario.failures[..due].iter().map(|e| e.failure).collect();
-            current_plant = degrade_plant(&scenario.plant, &active);
-            applied = due;
-        }
-
-        let active: Vec<Transfer> = transfers
-            .iter()
-            .filter(|t| t.arrival_s <= now + EPS && !t.is_complete())
-            .cloned()
-            .collect();
-        let pending_future = transfers
-            .iter()
-            .any(|t| t.arrival_s > now + EPS && !t.is_complete());
-        if active.is_empty() && !pending_future {
-            break;
-        }
-
-        let plan = engine.plan_slot(
-            &current_plant,
-            &SlotInput {
-                transfers: &active,
-                slot_len_s: scenario.slot_len_s,
-                now_s: now,
-            },
-        );
-
-        // Oracle 1: the simulator's own feasibility gate.
-        checked.add(1);
-        if let Err(e) = plan_is_feasible(&plan, theta) {
-            violated.add(1);
-            return Err(ReplayFailure {
-                slot,
-                message: format!("PlanError: {e}"),
-            });
-        }
-        // Oracle 2: the full cross-layer invariant suite.
-        checked.add(1);
-        if let Err(v) = check_plan(&current_plant, &active, scenario.slot_len_s, &plan) {
-            violated.add(1);
-            return Err(ReplayFailure {
-                slot,
-                message: v.to_string(),
-            });
-        }
-        stats.plans_checked += 1;
-
-        // Oracle 3: the transition from the previous plan must stay
-        // blackhole-, loop-, and overload-free throughout the update.
-        if config.check_updates {
-            if let Some(prev) = &prev_plan {
-                let delta = NetworkDelta::from_plans(
-                    &prev.topology,
-                    &prev.allocations,
-                    &plan.topology,
-                    &plan.allocations,
-                    scenario.plant.params().wavelengths_per_fiber,
-                );
-                let update = plan_consistent(&delta, &update_params);
-                checked.add(1);
-                if let Err(v) = check_timeline(&delta, &update, &update_params) {
-                    violated.add(1);
-                    return Err(ReplayFailure {
-                        slot,
-                        message: v.to_string(),
-                    });
-                }
-                stats.updates_checked += 1;
-            }
-        }
-        prev_plan = Some(plan.clone());
-
-        // Fluid advance (rate efficiency 1, as in `sim::simulate`).
-        for alloc in &plan.allocations {
-            let rate = alloc.total_rate();
-            if rate <= EPS {
-                continue;
-            }
-            let t = &mut transfers[alloc.transfer];
-            if rate * scenario.slot_len_s + EPS >= t.remaining_gbits {
-                t.remaining_gbits = 0.0;
-            } else {
-                t.remaining_gbits -= rate * scenario.slot_len_s;
-            }
-        }
+    let mut log = AuditLog::default();
+    let result = simulate_with_failures(
+        &scenario.plant,
+        &scenario.requests,
+        engine,
+        &config,
+        &scenario.failures,
+        probes,
+        Some(&mut |a: &SlotAudit| log.check(a, &mut |a: &SlotAudit| audit_slot(a, probes))),
+    );
+    match result.plan_error {
+        Some((slot, PlanError::Audit(message))) => Err(ReplayFailure { slot, message }),
+        Some((slot, e)) => Err(ReplayFailure {
+            slot,
+            message: format!("PlanError: {e}"),
+        }),
+        None => Ok(ReplayStats {
+            slots: result.slots,
+            plans_checked: log.plans_checked,
+            updates_checked: log.updates_checked,
+            completed: result
+                .completions
+                .iter()
+                .filter(|c| c.completion_s.is_some())
+                .count(),
+        }),
     }
-
-    stats.completed = transfers.iter().filter(|t| t.is_complete()).count();
-    Ok(stats)
 }
 
 /// A minimized failing case: the seed plus the request/failure indices
@@ -316,7 +289,8 @@ pub fn minimize(scenario: &Scenario, config: &ReplayConfig) -> Reproducer {
     let base = Scenario::generate(scenario.seed);
 
     let still_fails = |req: &[usize], fail: &[usize]| -> Option<String> {
-        replay_scenario(&base.subset(req, fail), config)
+        let scenario = base.subset(req, fail);
+        replay_scenario(&scenario, &mut config.engine(&scenario), &Probes::off())
             .err()
             .map(|f| f.message)
     };
@@ -385,25 +359,21 @@ pub struct FuzzStats {
     pub updates_checked: usize,
 }
 
-/// Replays `count` consecutive seeds starting at `start`. Returns stats on
-/// success, or the first failure minimized to a [`Reproducer`].
-pub fn fuzz(start: u64, count: u64, config: &ReplayConfig) -> Result<FuzzStats, Reproducer> {
-    fuzz_observed(start, count, config, &Recorder::disabled())
-}
-
-/// [`fuzz`] with every invariant check counted on `recorder`. The
-/// minimizer runs unobserved — its replays probe candidate subsets rather
-/// than verify, so counting them would inflate the check totals.
-pub fn fuzz_observed(
+/// Replays `count` consecutive seeds starting at `start`, every check
+/// counted on `probes`. Returns stats on success, or the first failure
+/// minimized to a [`Reproducer`]. The minimizer runs unprobed — its
+/// replays probe candidate subsets rather than verify, so counting them
+/// would inflate the check totals.
+pub fn fuzz(
     start: u64,
     count: u64,
     config: &ReplayConfig,
-    recorder: &Recorder,
+    probes: &Probes,
 ) -> Result<FuzzStats, Reproducer> {
     let mut stats = FuzzStats::default();
     for seed in start..start + count {
         let scenario = Scenario::generate(seed);
-        match replay_scenario_observed(&scenario, config, recorder) {
+        match replay_scenario(&scenario, &mut config.engine(&scenario), probes) {
             Ok(s) => {
                 stats.seeds += 1;
                 stats.slots += s.slots;
@@ -423,7 +393,8 @@ mod tests {
     #[test]
     fn clean_seed_replays_ok() {
         let scenario = Scenario::generate(0);
-        let stats = replay_scenario(&scenario, &ReplayConfig::default())
+        let mut engine = ReplayConfig::default().engine(&scenario);
+        let stats = replay_scenario(&scenario, &mut engine, &Probes::off())
             .unwrap_or_else(|f| panic!("seed 0 diverged: {f}"));
         assert!(stats.plans_checked > 0);
     }

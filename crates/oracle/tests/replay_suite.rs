@@ -3,10 +3,15 @@
 //! cross-layer invariant checked at every slot, and deliberately corrupted
 //! plans must be rejected with the *named* invariant.
 
-use owan_core::{default_topology, OwanConfig, OwanEngine, SlotInput, TrafficEngineer, Transfer};
+use owan_core::{
+    default_topology, OwanConfig, OwanEngine, RateAssignConfig, SlotInput, SlotPlan,
+    TrafficEngineer, Transfer,
+};
+use owan_optical::FiberPlant;
 use owan_oracle::invariants::{check_plan, Invariant};
 use owan_oracle::replay::{fuzz, replay_scenario, ReplayConfig};
 use owan_oracle::Scenario;
+use owan_sim::{run_controller, simulate_with_failures, Probes, SimConfig, UpdateDiscipline};
 
 /// The headline acceptance test: 200 seeded scenarios — small random
 /// plants, request streams, fiber cuts and site failures — replay through
@@ -17,9 +22,8 @@ use owan_oracle::Scenario;
 fn two_hundred_seeded_streams_replay_clean() {
     let config = ReplayConfig {
         anneal_iterations: 30,
-        check_updates: true,
     };
-    match fuzz(0, 200, &config) {
+    match fuzz(0, 200, &config, &Probes::off()) {
         Ok(stats) => {
             assert_eq!(stats.seeds, 200);
             assert!(
@@ -151,11 +155,95 @@ fn genuine_plan_passes_then_corruptions_are_named() {
 fn replay_is_deterministic() {
     let config = ReplayConfig::default();
     for seed in [1, 17, 99] {
-        let a = replay_scenario(&Scenario::generate(seed), &config).unwrap();
-        let b = replay_scenario(&Scenario::generate(seed), &config).unwrap();
+        let replay = |seed| {
+            let scenario = Scenario::generate(seed);
+            replay_scenario(&scenario, &mut config.engine(&scenario), &Probes::off()).unwrap()
+        };
+        let (a, b) = (replay(seed), replay(seed));
         assert_eq!(a.slots, b.slots);
         assert_eq!(a.plans_checked, b.plans_checked);
         assert_eq!(a.updates_checked, b.updates_checked);
         assert_eq!(a.completed, b.completed);
+    }
+}
+
+/// Wraps the replay engine and records the longest starvation streak any
+/// transfer it planned for had accumulated.
+struct StarvationWatch {
+    inner: OwanEngine,
+    max_starved: u32,
+}
+
+impl TrafficEngineer for StarvationWatch {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn plan_slot(&mut self, plant: &FiberPlant, input: &SlotInput<'_>) -> SlotPlan {
+        let starved = input.transfers.iter().map(|t| t.starved_slots).max();
+        self.max_starved = self.max_starved.max(starved.unwrap_or(0));
+        self.inner.plan_slot(plant, input)
+    }
+}
+
+/// The §3.2 starvation guard is reachable wherever the oracle looks: on a
+/// fuzz seed where the failure-timeline simulator ages a transfer past
+/// the guard's threshold, the oracle's replay and the charged-transition
+/// loop hand the engine the same aged transfers (both once kept slot
+/// loops of their own that never booked starvation).
+#[test]
+fn starvation_guard_is_reachable_in_replay_and_charged_runs() {
+    let config = ReplayConfig::default();
+    let threshold = RateAssignConfig::default().starvation_threshold;
+    let sim_config = |s: &Scenario| SimConfig {
+        slot_len_s: s.slot_len_s,
+        max_slots: s.max_slots,
+        ..Default::default()
+    };
+    let watch = |s: &Scenario| StarvationWatch {
+        inner: config.engine(s),
+        max_starved: 0,
+    };
+    let scenario = (0..100)
+        .map(Scenario::generate)
+        .find(|s| {
+            let mut engine = watch(s);
+            let cfg = sim_config(s);
+            simulate_with_failures(
+                &s.plant,
+                &s.requests,
+                &mut engine,
+                &cfg,
+                &s.failures,
+                &Probes::off(),
+                None,
+            );
+            s.failures.is_empty() && engine.max_starved >= threshold
+        })
+        .expect("some fuzz seed starves a transfer past the guard");
+
+    let mut replayed = watch(&scenario);
+    replay_scenario(&scenario, &mut replayed, &Probes::off()).expect("clean replay");
+    assert!(
+        replayed.max_starved >= threshold,
+        "seed {}: replay never aged a transfer past the guard",
+        scenario.seed
+    );
+
+    for discipline in [UpdateDiscipline::Consistent, UpdateDiscipline::OneShot] {
+        let mut charged = watch(&scenario);
+        run_controller(
+            &scenario.plant,
+            &scenario.requests,
+            &mut charged,
+            &sim_config(&scenario),
+            discipline,
+            &Probes::off(),
+        );
+        assert!(
+            charged.max_starved >= threshold,
+            "seed {}: {discipline:?} run never aged a transfer past the guard",
+            scenario.seed
+        );
     }
 }

@@ -1,27 +1,22 @@
-//! The full controller loop of §3.1, including the network-update step.
+//! Charged transitions: the controller loop of §3.1 with the
+//! network-update step on the delivery path.
 //!
 //! [`sim::simulate`](crate::sim::simulate) evaluates scheduling quality
 //! under the paper's assumption that reconfiguration is much faster than a
 //! slot ("a few minutes vs. hundreds or thousands of milliseconds").
-//! [`Controller`] drops that idealization: between consecutive slots it
-//! derives the [`NetworkDelta`](owan_update::NetworkDelta), schedules it
-//! with the consistent (or one-shot) planner, and charges the transition
-//! against the new slot — traffic ramps to the new allocation only as the
-//! update timeline actually carries it, so heavy optical churn costs real
+//! [`run_controller`] drops that idealization: between consecutive slots
+//! the same slot loop derives the
+//! [`NetworkDelta`](owan_update::NetworkDelta), schedules it with the
+//! consistent (or one-shot) planner, and charges the transition against
+//! the new slot — traffic ramps to the new allocation only as the update
+//! timeline actually carries it, so heavy optical churn costs real
 //! delivered bytes.
-//!
-//! This is the component a deployment would run: submit requests, tick the
-//! clock, read back rate allocations and the device operation schedule.
 
-use crate::sim::{CompletionRecord, PlanError};
-use crate::telemetry::{at_risk_count, SimTelemetry, SlotTelemetry};
-use owan_core::{SlotInput, SlotPlan, TrafficEngineer, Transfer, TransferRequest};
-use owan_obs::Recorder;
+use crate::probes::Probes;
+use crate::sim::{drive_slots, SimConfig, SimResult, SingleEngine, StaticPlant};
+use owan_core::{TrafficEngineer, TransferRequest};
 use owan_optical::FiberPlant;
-use owan_update::{
-    plan_consistent_observed, plan_one_shot_observed, throughput_timeline, NetworkDelta,
-    UpdateParams, UpdatePlan, UpdateTelemetry,
-};
+use owan_update::{throughput_timeline, NetworkDelta, UpdateParams, UpdatePlan};
 
 const EPS: f64 = 1e-9;
 
@@ -34,300 +29,75 @@ pub enum UpdateDiscipline {
     OneShot,
 }
 
-/// Controller configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct ControllerConfig {
-    /// Slot length, seconds.
-    pub slot_len_s: f64,
-    /// Hard cap on slots.
-    pub max_slots: usize,
-    /// Update discipline between slots.
-    pub discipline: UpdateDiscipline,
-    /// Router rule install/remove time, seconds.
-    pub path_time_s: f64,
-}
-
-impl Default for ControllerConfig {
-    fn default() -> Self {
-        ControllerConfig {
-            slot_len_s: 300.0,
-            max_slots: 2_000,
-            discipline: UpdateDiscipline::Consistent,
-            path_time_s: 0.1,
-        }
+/// The update-scheduler parameters for `plant`: its θ and circuit
+/// reconfiguration time, and the default router path-programming time.
+pub fn update_params(plant: &FiberPlant) -> UpdateParams {
+    UpdateParams {
+        theta_gbps: plant.params().wavelength_capacity_gbps,
+        circuit_time_s: plant.params().circuit_reconfig_time_s,
+        ..Default::default()
     }
 }
 
-/// Outcome of a controller run.
-#[derive(Debug, Clone)]
-pub struct ControllerResult {
-    /// Per-transfer outcomes (same shape as the plain simulator's).
-    pub completions: Vec<CompletionRecord>,
-    /// Per-slot `(slot start, delivered volume in Gb)` — *delivered*, i.e.
-    /// after update-transition losses, unlike the plain simulator's
-    /// allocated-throughput series.
-    pub delivered_series: Vec<(f64, f64)>,
-    /// Makespan (absolute completion of the last transfer).
-    pub makespan_s: f64,
-    /// Total update operations executed across the run.
-    pub update_ops: usize,
-    /// Gb lost to update transitions relative to the allocated rates
-    /// (what the idealized simulator would have delivered on the same
-    /// plans during the transition windows).
-    pub transition_loss_gbits: f64,
-    /// Per-slot controller telemetry, present when the run was made with
-    /// a recording recorder (see [`run_controller_observed`]).
-    pub telemetry: Option<Vec<SlotTelemetry>>,
-    /// Set when the engine emitted an infeasible plan: the slot it happened
-    /// in and the violated feasibility condition. The run stops at that
-    /// slot; transfers still pending are reported unfinished.
-    pub plan_error: Option<(usize, PlanError)>,
-}
-
-impl ControllerResult {
-    /// True if every transfer completed.
-    pub fn all_completed(&self) -> bool {
-        self.completions.iter().all(|c| c.completion_s.is_some())
-    }
-}
-
-/// Per-transfer delivered volume during one slot, accounting for the
-/// update transition: during `[0, makespan]` of the update plan the
-/// carried rate of each path follows the update timeline; afterwards the
-/// full new allocation applies. To keep the accounting per-transfer we
-/// scale each transfer's allocated volume by the ratio of carried to
-/// allocated network volume during the transition window (the timeline is
-/// a network-level quantity).
-fn transition_scale(
+/// How much of a slot a transition actually carried: the timeline of
+/// `update` integrated (trapezoidally) over the transition window, then
+/// steady at `total_gbps` for the rest of the slot. Returns
+/// `(scale, loss_gbits)`: the carried fraction of the slot's ideal volume,
+/// by which every transfer's delivery is discounted (the timeline is a
+/// network-level quantity), and the Gb the window fell short of the ideal.
+/// Chaos runs pass the *executed* plan (post-retry op times, aborted ops
+/// absent) and the achieved total.
+pub fn transition_factor(
     delta: &NetworkDelta,
-    plan: &UpdatePlan,
+    update: &UpdatePlan,
     params: &UpdateParams,
     slot_len_s: f64,
-    new_total_gbps: f64,
+    total_gbps: f64,
 ) -> (f64, f64) {
-    if plan.ops.is_empty() || new_total_gbps <= EPS {
+    if update.ops.is_empty() || total_gbps <= EPS {
         return (1.0, 0.0);
     }
-    let window = plan.makespan_s.min(slot_len_s);
+    let window = update.makespan_s.min(slot_len_s);
     if window <= EPS {
         return (1.0, 0.0);
     }
     let dt = (window / 64.0).max(0.05);
-    let tl = throughput_timeline(delta, plan, params, dt, window);
-    // Trapezoidal integral of carried Gbps over the window.
+    let tl = throughput_timeline(delta, update, params, dt, window);
     let mut carried_gbits = 0.0;
     for w in tl.windows(2) {
         carried_gbits +=
             0.5 * (w[0].throughput_gbps + w[1].throughput_gbps) * (w[1].time_s - w[0].time_s);
     }
-    let ideal_gbits = new_total_gbps * window;
-    let steady_gbits = new_total_gbps * (slot_len_s - window);
-    let slot_ideal = new_total_gbps * slot_len_s;
+    let ideal_gbits = total_gbps * window;
+    let steady_gbits = total_gbps * (slot_len_s - window);
+    let slot_ideal = total_gbps * slot_len_s;
     let delivered = carried_gbits + steady_gbits;
     let scale = (delivered / slot_ideal).clamp(0.0, 1.0);
     (scale, (ideal_gbits - carried_gbits).max(0.0))
 }
 
-/// Runs the controller loop: admit → plan → schedule update → deliver.
+/// Runs the controller loop with charged transitions: admit → plan →
+/// schedule the update with `discipline` → deliver what the transition
+/// carried. The result's `delivered_series`, `update_ops` and
+/// `transition_loss_gbits` report the charge; under `probes` the
+/// `stage.update` span times work the controller was doing anyway.
 pub fn run_controller(
     plant: &FiberPlant,
     requests: &[TransferRequest],
     engine: &mut dyn TrafficEngineer,
-    config: &ControllerConfig,
-) -> ControllerResult {
-    run_controller_observed(plant, requests, engine, config, &Recorder::disabled())
-}
-
-/// [`run_controller`] with telemetry. Unlike [`crate::sim::simulate_observed`],
-/// the update planner here is on the real execution path (its schedule
-/// determines delivered volume), so the `stage.update` span times work
-/// the controller was doing anyway. Delivered results are identical to
-/// the unobserved run.
-pub fn run_controller_observed(
-    plant: &FiberPlant,
-    requests: &[TransferRequest],
-    engine: &mut dyn TrafficEngineer,
-    config: &ControllerConfig,
-    recorder: &Recorder,
-) -> ControllerResult {
-    let theta = plant.params().wavelength_capacity_gbps;
-    engine.set_recorder(recorder.clone());
-    let telemetry = recorder.is_enabled().then(|| SimTelemetry::new(recorder));
-    let update_telemetry = telemetry
-        .as_ref()
-        .map_or_else(UpdateTelemetry::disabled, |t| t.update.clone());
-    let mut slot_rows: Vec<SlotTelemetry> = Vec::new();
-    let params = UpdateParams {
-        theta_gbps: theta,
-        circuit_time_s: plant.params().circuit_reconfig_time_s,
-        path_time_s: config.path_time_s,
-    };
-
-    let mut transfers: Vec<Transfer> = requests
-        .iter()
-        .enumerate()
-        .map(|(id, r)| Transfer::from_request(id, r))
-        .collect();
-    let mut records: Vec<CompletionRecord> = requests
-        .iter()
-        .enumerate()
-        .map(|(id, r)| CompletionRecord {
-            id,
-            volume_gbits: r.volume_gbits,
-            arrival_s: r.arrival_s,
-            deadline_s: r.deadline_s,
-            completion_s: None,
-            gbits_by_deadline: 0.0,
-        })
-        .collect();
-
-    let mut prev_plan: Option<SlotPlan> = None;
-    let mut delivered_series = Vec::new();
-    let mut makespan_s: f64 = 0.0;
-    let mut update_ops = 0usize;
-    let mut transition_loss_gbits = 0.0;
-    let mut plan_error: Option<(usize, PlanError)> = None;
-
-    for slot in 0..config.max_slots {
-        let now = slot as f64 * config.slot_len_s;
-        let active: Vec<Transfer> = transfers
-            .iter()
-            .filter(|t| t.arrival_s <= now + EPS && !t.is_complete())
-            .cloned()
-            .collect();
-        let pending = transfers
-            .iter()
-            .any(|t| t.arrival_s > now + EPS && !t.is_complete());
-        if active.is_empty() && !pending {
-            break;
-        }
-
-        let slot_span = telemetry
-            .as_ref()
-            .map(|t| (t.slot_stage.enter(), t.stage_marks()));
-        let plan_start_ns = recorder.now_ns();
-        let plan = engine.plan_slot(
-            plant,
-            &SlotInput {
-                transfers: &active,
-                slot_len_s: config.slot_len_s,
-                now_s: now,
-            },
-        );
-        let plan_ns = recorder.now_ns().saturating_sub(plan_start_ns);
-        if let Err(e) = crate::sim::plan_is_feasible(&plan, theta) {
-            plan_error = Some((slot, e));
-            break;
-        }
-
-        // Schedule the transition from the previous state.
-        let mut slot_update_ops = 0usize;
-        let (scale, loss) = match &prev_plan {
-            Some(prev) => {
-                let delta = NetworkDelta::from_plans(
-                    &prev.topology,
-                    &prev.allocations,
-                    &plan.topology,
-                    &plan.allocations,
-                    plant.params().wavelengths_per_fiber,
-                );
-                let update = match config.discipline {
-                    UpdateDiscipline::Consistent => {
-                        plan_consistent_observed(&delta, &params, &update_telemetry)
-                    }
-                    UpdateDiscipline::OneShot => {
-                        plan_one_shot_observed(&delta, &params, &update_telemetry)
-                    }
-                };
-                slot_update_ops = update.ops.len();
-                update_ops += update.ops.len();
-                transition_scale(
-                    &delta,
-                    &update,
-                    &params,
-                    config.slot_len_s,
-                    plan.throughput_gbps,
-                )
-            }
-            None => (1.0, 0.0),
-        };
-        transition_loss_gbits += loss;
-
-        // Deliver.
-        let mut slot_delivered = 0.0;
-        let mut got_rate = vec![false; transfers.len()];
-        for alloc in &plan.allocations {
-            let rate_alloc = alloc.total_rate();
-            let rate = rate_alloc * scale;
-            if rate <= EPS {
-                continue;
-            }
-            got_rate[alloc.transfer] = true;
-            let t = &mut transfers[alloc.transfer];
-            let rec = &mut records[alloc.transfer];
-            if let Some(d) = t.deadline_s {
-                if d > now {
-                    let usable = (d - now).min(config.slot_len_s);
-                    let by_deadline = (rate * usable).min(t.remaining_gbits);
-                    rec.gbits_by_deadline =
-                        (rec.gbits_by_deadline + by_deadline).min(t.volume_gbits);
-                }
-            }
-            // Completion keys off the *allocated* rate (as in
-            // `sim::simulate`): a transfer whose allocation covers its
-            // remaining volume finishes this slot, merely later when the
-            // transition ate into the slot — otherwise the scaled delivery
-            // would produce an unphysical geometric tail.
-            if rate_alloc * config.slot_len_s + EPS >= t.remaining_gbits {
-                let finish = now + t.remaining_gbits / rate;
-                slot_delivered += t.remaining_gbits;
-                t.remaining_gbits = 0.0;
-                rec.completion_s = Some(finish);
-                makespan_s = makespan_s.max(finish);
-            } else {
-                let vol = rate * config.slot_len_s;
-                t.remaining_gbits -= vol;
-                slot_delivered += vol;
-            }
-        }
-        delivered_series.push((now, slot_delivered));
-
-        if let (Some(t), Some((span, marks))) = (&telemetry, slot_span) {
-            span.finish();
-            let (anneal_ns, circuits_ns, rates_ns, update_ns) = t.stage_marks().since(&marks);
-            let row = SlotTelemetry {
-                slot,
-                start_s: now,
-                active_transfers: active.len(),
-                queue_depth: active.iter().filter(|a| !got_rate[a.id]).count(),
-                at_risk: at_risk_count(&active, &plan, now),
-                plan_ns,
-                anneal_ns,
-                circuits_ns,
-                rates_ns,
-                update_ns,
-                update_ops: slot_update_ops,
-                throughput_gbps: plan.throughput_gbps,
-            };
-            t.publish_slot(&row);
-            slot_rows.push(row);
-        }
-        prev_plan = Some(plan);
-    }
-
-    if !records.iter().all(|r| r.completion_s.is_some()) {
-        makespan_s = makespan_s.max(delivered_series.len() as f64 * config.slot_len_s);
-    }
-
-    ControllerResult {
-        completions: records,
-        delivered_series,
-        makespan_s,
-        update_ops,
-        transition_loss_gbits,
-        telemetry: telemetry.map(|_| slot_rows),
-        plan_error,
-    }
+    config: &SimConfig,
+    discipline: UpdateDiscipline,
+    probes: &Probes,
+) -> SimResult {
+    drive_slots(
+        requests,
+        &mut StaticPlant(plant),
+        &mut SingleEngine(engine),
+        config,
+        Some(discipline),
+        probes,
+        None,
+    )
 }
 
 #[cfg(test)]
@@ -379,15 +149,14 @@ mod tests {
         ]
     }
 
-    fn run(discipline: UpdateDiscipline) -> ControllerResult {
+    fn run(discipline: UpdateDiscipline) -> SimResult {
         let p = plant();
         let mut e = OwanEngine::new(default_topology(&p), OwanConfig::default());
-        let cfg = ControllerConfig {
+        let cfg = SimConfig {
             slot_len_s: 100.0,
-            discipline,
             ..Default::default()
         };
-        run_controller(&p, &requests(), &mut e, &cfg)
+        run_controller(&p, &requests(), &mut e, &cfg, discipline, &Probes::off())
     }
 
     #[test]

@@ -17,11 +17,11 @@
 //! faults — live in the `owan-chaos` crate, which builds on the same
 //! primitives.
 
+use crate::probes::{AuditHook, Probes};
 use crate::sim::{
     drive_slots, EngineSource, PlantProvider, SimConfig, SimResult, SingleEngine, StaticPlant,
 };
 use owan_core::{TrafficEngineer, TransferRequest};
-use owan_obs::Recorder;
 use owan_optical::{FiberId, FiberPlant, SiteId};
 
 const EPS: f64 = 1e-9;
@@ -138,6 +138,9 @@ impl<'a> FailureTimelinePlant<'a> {
 }
 
 impl PlantProvider for FailureTimelinePlant<'_> {
+    fn base(&self) -> &FiberPlant {
+        self.base
+    }
     fn plant_at(&mut self, _slot: usize, now_s: f64) -> &FiberPlant {
         let due = self
             .timeline
@@ -153,48 +156,29 @@ impl PlantProvider for FailureTimelinePlant<'_> {
     }
 }
 
-/// Like [`crate::sim::simulate`] but with a failure timeline: from the slot
-/// containing each event onward, the engine sees the degraded plant.
-/// Transfers whose endpoints died can never finish and are reported
-/// unfinished.
+/// Like [`crate::sim::simulate_probed`] but with a failure timeline: from
+/// the slot containing each event onward, the engine sees the degraded
+/// plant. Transfers whose endpoints died can never finish and are
+/// reported unfinished. `audit`, when given, sees every planned slot with
+/// the update into its plan (the oracle's differential replay hooks in
+/// here); an `Err` stops the run with [`crate::PlanError::Audit`].
 pub fn simulate_with_failures(
     plant: &FiberPlant,
     requests: &[TransferRequest],
     engine: &mut dyn TrafficEngineer,
     config: &SimConfig,
     events: &[FailureEvent],
-) -> SimResult {
-    simulate_with_failures_observed(
-        plant,
-        requests,
-        engine,
-        config,
-        events,
-        &Recorder::disabled(),
-    )
-}
-
-/// [`simulate_with_failures`] with telemetry: failure runs are traceable
-/// exactly like [`crate::sim::simulate_observed`] — per-slot `SlotTelemetry`
-/// rows, stage spans, and update-op counts land on the recorder.
-pub fn simulate_with_failures_observed(
-    plant: &FiberPlant,
-    requests: &[TransferRequest],
-    engine: &mut dyn TrafficEngineer,
-    config: &SimConfig,
-    events: &[FailureEvent],
-    recorder: &Recorder,
+    probes: &Probes,
+    audit: Option<&mut AuditHook>,
 ) -> SimResult {
     drive_slots(
-        plant,
         requests,
         &mut FailureTimelinePlant::new(plant, events),
         &mut SingleEngine(engine),
         config,
-        recorder,
-        &owan_scope::ScopeRecorder::disabled(),
-        &owan_core::Profiler::disabled(),
-        &owan_why::WhyRecorder::disabled(),
+        None,
+        probes,
+        audit,
     )
 }
 
@@ -253,15 +237,13 @@ pub fn simulate_with_restarts(
 ) -> SimResult {
     let mut engines = RestartingEngines::new(factory, restart_slots);
     drive_slots(
-        plant,
         requests,
         &mut StaticPlant(plant),
         &mut engines,
         config,
-        &Recorder::disabled(),
-        &owan_scope::ScopeRecorder::disabled(),
-        &owan_core::Profiler::disabled(),
-        &owan_why::WhyRecorder::disabled(),
+        None,
+        &Probes::off(),
+        None,
     )
 }
 
@@ -340,11 +322,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn owan_survives_fiber_cut() {
+    /// One 2 Tb transfer across the ring, slots of 100 s, under `events`.
+    fn ring_run(events: &[FailureEvent], probes: &Probes) -> SimResult {
         let p = plant();
         let mut e = OwanEngine::new(default_topology(&p), OwanConfig::default());
-        let reqs = vec![TransferRequest {
+        let reqs = [TransferRequest {
             src: 0,
             dst: 2,
             volume_gbits: 2_000.0,
@@ -355,11 +337,16 @@ mod tests {
             slot_len_s: 100.0,
             ..Default::default()
         };
+        simulate_with_failures(&p, &reqs, &mut e, &cfg, events, probes, None)
+    }
+
+    #[test]
+    fn owan_survives_fiber_cut() {
         let events = [FailureEvent {
             time_s: 150.0,
             failure: Failure::FiberCut(0),
         }];
-        let res = simulate_with_failures(&p, &reqs, &mut e, &cfg, &events);
+        let res = ring_run(&events, &Probes::off());
         assert!(
             res.all_completed(),
             "transfer should reroute around the cut"
@@ -368,19 +355,6 @@ mod tests {
 
     #[test]
     fn owan_survives_amp_degradation() {
-        let p = plant();
-        let mut e = OwanEngine::new(default_topology(&p), OwanConfig::default());
-        let reqs = vec![TransferRequest {
-            src: 0,
-            dst: 2,
-            volume_gbits: 2_000.0,
-            arrival_s: 0.0,
-            deadline_s: None,
-        }];
-        let cfg = SimConfig {
-            slot_len_s: 100.0,
-            ..Default::default()
-        };
         let events = [FailureEvent {
             time_s: 150.0,
             failure: Failure::AmpDegraded {
@@ -388,7 +362,7 @@ mod tests {
                 usable: 1,
             },
         }];
-        let res = simulate_with_failures(&p, &reqs, &mut e, &cfg, &events);
+        let res = ring_run(&events, &Probes::off());
         assert!(res.all_completed(), "{res:?}");
     }
 
@@ -412,32 +386,22 @@ mod tests {
             time_s: 0.0,
             failure: Failure::SiteDown(2),
         }];
-        let res = simulate_with_failures(&p, &reqs, &mut e, &cfg, &events);
+        let res = simulate_with_failures(&p, &reqs, &mut e, &cfg, &events, &Probes::off(), None);
         assert!(!res.all_completed());
         assert!(res.slots < 50, "simulation stops early instead of spinning");
     }
 
     #[test]
     fn failure_run_carries_telemetry() {
-        let p = plant();
-        let mut e = OwanEngine::new(default_topology(&p), OwanConfig::default());
-        let reqs = vec![TransferRequest {
-            src: 0,
-            dst: 2,
-            volume_gbits: 2_000.0,
-            arrival_s: 0.0,
-            deadline_s: None,
-        }];
-        let cfg = SimConfig {
-            slot_len_s: 100.0,
-            ..Default::default()
-        };
         let events = [FailureEvent {
             time_s: 150.0,
             failure: Failure::FiberCut(0),
         }];
-        let recorder = Recorder::enabled();
-        let res = simulate_with_failures_observed(&p, &reqs, &mut e, &cfg, &events, &recorder);
+        let probes = Probes {
+            recorder: owan_obs::Recorder::enabled(),
+            ..Probes::off()
+        };
+        let res = ring_run(&events, &probes);
         assert!(res.all_completed());
         let rows = res.telemetry.expect("observed run records telemetry");
         // One row per planned slot (the final admission-only slot plans

@@ -3,6 +3,9 @@
 //! * [`sim`] — the time-slotted fluid simulator (validated against the
 //!   paper's testbed methodology, §5.1),
 //! * [`metrics`] — completion time / deadline / makespan metrics,
+//! * [`controller`] — charged update transitions between slots (§3.3),
+//! * [`probes`] — the observability handle and per-slot audit hook every
+//!   run entry point takes,
 //! * [`runner`] — engine construction and parallel comparison sweeps,
 //! * [`failures`] — link/switch failure experiments (§3.4),
 //! * [`validate`] — the simulator-vs-testbed validation (§5.1).
@@ -36,25 +39,25 @@
 pub mod controller;
 pub mod failures;
 pub mod metrics;
+pub mod probes;
 pub mod runner;
 pub mod sim;
 pub mod telemetry;
 pub mod validate;
 
-pub use controller::{
-    run_controller, run_controller_observed, ControllerConfig, ControllerResult, UpdateDiscipline,
-};
+pub use controller::{run_controller, transition_factor, update_params, UpdateDiscipline};
 pub use failures::{
-    degrade_plant, degrade_plant_mapped, simulate_with_failures, simulate_with_failures_observed,
-    simulate_with_restarts, Failure, FailureEvent,
+    degrade_plant, degrade_plant_mapped, simulate_with_failures, simulate_with_restarts, Failure,
+    FailureEvent,
 };
+pub use probes::{AuditHook, Probes, SlotAudit};
 pub use runner::{
-    make_engine, run_comparison, run_engine, run_engine_explained, run_engine_observed,
-    run_engine_profiled, run_engine_traced, EngineKind, RunnerConfig,
+    make_engine, run_comparison, run_engine, run_engine_probed, EngineKind, RunnerConfig,
 };
 pub use sim::{
-    build_scope_rows, plan_is_feasible, simulate, simulate_explained, simulate_observed,
-    simulate_profiled, simulate_traced, CompletionRecord, PlanError, SimConfig, SimResult,
+    book_starvation, build_scope_rows, deliver, plan_is_feasible, simulate, simulate_observed,
+    simulate_probed, start_transfers, why_samples, CompletionRecord, PlanError, SimConfig,
+    SimResult,
 };
 pub use telemetry::SlotTelemetry;
 pub use validate::{validate_simulator, ValidationReport};

@@ -194,7 +194,10 @@ mod tests {
             completions,
             makespan_s: 0.0,
             throughput_series: Vec::new(),
+            delivered_series: Vec::new(),
             slots: 0,
+            update_ops: 0,
+            transition_loss_gbits: 0.0,
             telemetry: None,
             plan_error: None,
         }

@@ -1,15 +1,12 @@
 //! Experiment runner: constructs engines by name and drives whole
 //! comparison sweeps, optionally in parallel across engines/loads.
 
-use crate::sim::{
-    simulate, simulate_explained, simulate_observed, simulate_profiled, simulate_traced, SimConfig,
-    SimResult,
-};
+use crate::probes::Probes;
+use crate::sim::{simulate_probed, SimConfig, SimResult};
 use owan_core::{
     default_topology, AnnealConfig, OwanConfig, OwanEngine, SchedulingPolicy, TrafficEngineer,
     TransferRequest,
 };
-use owan_obs::Recorder;
 use owan_te::{
     AmoebaConfig, AmoebaTe, GreedyTe, MaxFlowTe, MaxMinFractTe, RateOnlyTe, RoutingRateTe, SwanTe,
     TempusConfig, TempusTe,
@@ -154,101 +151,26 @@ pub fn run_engine(
     requests: &[TransferRequest],
     config: &RunnerConfig,
 ) -> SimResult {
-    let mut engine = make_engine(kind, network, config);
-    simulate(&network.plant, requests, engine.as_mut(), &config.sim)
+    run_engine_probed(kind, network, requests, config, &Probes::off())
 }
 
-/// [`run_engine`] with a telemetry recorder attached to the engine and
-/// the simulation loop. With a disabled recorder this is exactly
-/// [`run_engine`].
-pub fn run_engine_observed(
+/// [`run_engine`] with observability attached to the engine and the
+/// slot loop (see [`simulate_probed`]). Results are identical under every
+/// probe set.
+pub fn run_engine_probed(
     kind: EngineKind,
     network: &Network,
     requests: &[TransferRequest],
     config: &RunnerConfig,
-    recorder: &Recorder,
+    probes: &Probes,
 ) -> SimResult {
     let mut engine = make_engine(kind, network, config);
-    simulate_observed(
+    simulate_probed(
         &network.plant,
         requests,
         engine.as_mut(),
         &config.sim,
-        recorder,
-    )
-}
-
-/// [`run_engine_observed`] with a flight recorder attached: the scope
-/// collects per-transfer lifecycle state, per-slot flight frames, and
-/// the causal span timeline. With a disabled scope this is exactly
-/// [`run_engine_observed`].
-pub fn run_engine_traced(
-    kind: EngineKind,
-    network: &Network,
-    requests: &[TransferRequest],
-    config: &RunnerConfig,
-    recorder: &Recorder,
-    scope: &owan_scope::ScopeRecorder,
-) -> SimResult {
-    let mut engine = make_engine(kind, network, config);
-    simulate_traced(
-        &network.plant,
-        requests,
-        engine.as_mut(),
-        &config.sim,
-        recorder,
-        scope,
-    )
-}
-
-/// [`run_engine_traced`] with a region profiler attached on top. With a
-/// disabled profiler this is exactly [`run_engine_traced`].
-pub fn run_engine_profiled(
-    kind: EngineKind,
-    network: &Network,
-    requests: &[TransferRequest],
-    config: &RunnerConfig,
-    recorder: &Recorder,
-    scope: &owan_scope::ScopeRecorder,
-    prof: &owan_core::Profiler,
-) -> SimResult {
-    let mut engine = make_engine(kind, network, config);
-    simulate_profiled(
-        &network.plant,
-        requests,
-        engine.as_mut(),
-        &config.sim,
-        recorder,
-        scope,
-        prof,
-    )
-}
-
-/// [`run_engine_profiled`] with a why recorder attached on top: the
-/// recorder joins the other streams into per-transfer causal
-/// attribution and online SLO monitors. With a disabled why recorder
-/// this is exactly [`run_engine_profiled`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_engine_explained(
-    kind: EngineKind,
-    network: &Network,
-    requests: &[TransferRequest],
-    config: &RunnerConfig,
-    recorder: &Recorder,
-    scope: &owan_scope::ScopeRecorder,
-    prof: &owan_core::Profiler,
-    why: &owan_why::WhyRecorder,
-) -> SimResult {
-    let mut engine = make_engine(kind, network, config);
-    simulate_explained(
-        &network.plant,
-        requests,
-        engine.as_mut(),
-        &config.sim,
-        recorder,
-        scope,
-        prof,
-        why,
+        probes,
     )
 }
 

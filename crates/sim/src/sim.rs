@@ -7,21 +7,31 @@
 //! 1. admits transfers whose arrival time has passed,
 //! 2. asks the engine for a [`SlotPlan`](owan_core::SlotPlan),
 //! 3. verifies the plan is feasible (no link over capacity),
-//! 4. advances every transfer fluidly by its allocated rate, recording
+//! 4. schedules the update from the previous plan when something consumes
+//!    it — telemetry, an audit hook, or a charged-transition run
+//!    ([`crate::controller`]) — and offers the slot to the audit hook,
+//! 5. advances every transfer fluidly by its allocated rate, recording
 //!    mid-slot completion times and per-deadline byte counts,
-//! 5. updates starvation counters (the §3.2 starvation guard's input).
+//! 6. updates starvation counters (the §3.2 starvation guard's input).
+//!
+//! Every `owan-sim` run mode — ideal, failure timeline, controller
+//! restarts, charged transitions, oracle replay — is this one loop.
 //!
 //! The paper validated exactly this style of flow-level simulator against
 //! its hardware testbed within 10% (§5.1); [`crate::validate`] reproduces
 //! that comparison with an impaired-rate mode.
 
+use crate::controller::{transition_factor, update_params, UpdateDiscipline};
+use crate::probes::{AuditHook, Probes, SlotAudit};
 use crate::telemetry::{at_risk_count, SimTelemetry, SlotTelemetry};
-use owan_core::{Profiler, SlotInput, SlotPlan, TrafficEngineer, Transfer, TransferRequest};
+use owan_core::{SlotInput, SlotPlan, TrafficEngineer, Transfer, TransferRequest};
 use owan_obs::Recorder;
 use owan_optical::FiberPlant;
-use owan_scope::{path_label, ScopeRecorder, SlotObservation, TransferSlotRow};
-use owan_update::{plan_consistent_observed, NetworkDelta, UpdateParams};
-use owan_why::{TransferSample, WhyRecorder, WhySlotObservation};
+use owan_scope::{path_label, SlotObservation, TransferSlotRow};
+use owan_update::{
+    plan_consistent_observed, plan_one_shot_observed, NetworkDelta, UpdateTelemetry,
+};
+use owan_why::{TransferSample, WhySlotObservation};
 use serde::{Deserialize, Serialize};
 
 const EPS: f64 = 1e-9;
@@ -104,14 +114,23 @@ pub struct SimResult {
     /// Total allocated throughput per slot `(slot start, Gbps)` — the
     /// series plotted in Figure 10(a).
     pub throughput_series: Vec<(f64, f64)>,
+    /// Per-slot `(slot start, delivered volume in Gb)` — *delivered*, i.e.
+    /// after impairment and (in charged runs) update-transition losses.
+    pub delivered_series: Vec<(f64, f64)>,
     /// Slots simulated.
     pub slots: usize,
+    /// Update operations scheduled across a charged-transition run (0 in
+    /// ideal runs, which pay for no transition).
+    pub update_ops: usize,
+    /// Gb a charged-transition run lost to update transitions relative to
+    /// the allocated rates (0 in ideal runs).
+    pub transition_loss_gbits: f64,
     /// Per-slot controller telemetry, present when the run was made with
-    /// a recording [`Recorder`] (see [`simulate_observed`]).
+    /// a recording [`Recorder`] (see [`simulate_probed`]).
     pub telemetry: Option<Vec<SlotTelemetry>>,
-    /// Set when the engine emitted an infeasible plan: the slot it happened
-    /// in and the violated feasibility condition. The run stops at that
-    /// slot; transfers still pending are reported unfinished.
+    /// Set when the engine emitted an infeasible plan, or the audit hook
+    /// rejected a slot: the slot it happened in and why. The run stops at
+    /// that slot; transfers still pending are reported unfinished.
     pub plan_error: Option<(usize, PlanError)>,
 }
 
@@ -122,9 +141,10 @@ impl SimResult {
     }
 }
 
-/// Why a [`SlotPlan`] failed the feasibility check — a bug in the engine
-/// that emitted it, not an operational condition. Fuzz harnesses record it
-/// in [`SimResult::plan_error`] instead of aborting the run.
+/// Why a run stopped at a [`SlotPlan`]: it failed the feasibility check —
+/// a bug in the engine that emitted it, not an operational condition — or
+/// the audit hook rejected it. Fuzz harnesses record it in
+/// [`SimResult::plan_error`] instead of aborting the run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum PlanError {
     /// An allocation carried a negative rate.
@@ -145,6 +165,8 @@ pub enum PlanError {
         /// Link capacity (multiplicity × θ), Gbps.
         capacity_gbps: f64,
     },
+    /// The run's audit hook rejected the slot, with its message.
+    Audit(String),
 }
 
 impl std::fmt::Display for PlanError {
@@ -165,6 +187,7 @@ impl std::fmt::Display for PlanError {
                 f,
                 "link ({u},{v}) carries {load_gbps} over capacity {capacity_gbps}"
             ),
+            PlanError::Audit(message) => f.write_str(message),
         }
     }
 }
@@ -211,6 +234,9 @@ pub fn plan_is_feasible(plan: &SlotPlan, theta: f64) -> Result<(), PlanError> {
 /// slot loop behind this trait keeps the failure path from drifting from
 /// the fault-free path.
 pub(crate) trait PlantProvider {
+    /// The undegraded plant: global parameters (θ, φ, reconfiguration
+    /// times) come from here.
+    fn base(&self) -> &FiberPlant;
     /// Plant presented to the engine for the slot starting at `now_s`.
     fn plant_at(&mut self, slot: usize, now_s: f64) -> &FiberPlant;
 }
@@ -219,6 +245,9 @@ pub(crate) trait PlantProvider {
 pub(crate) struct StaticPlant<'a>(pub &'a FiberPlant);
 
 impl PlantProvider for StaticPlant<'_> {
+    fn base(&self) -> &FiberPlant {
+        self.0
+    }
     fn plant_at(&mut self, _slot: usize, _now_s: f64) -> &FiberPlant {
         self.0
     }
@@ -255,18 +284,11 @@ pub fn simulate(
     engine: &mut dyn TrafficEngineer,
     config: &SimConfig,
 ) -> SimResult {
-    simulate_observed(plant, requests, engine, config, &Recorder::disabled())
+    simulate_probed(plant, requests, engine, config, &Probes::off())
 }
 
-/// [`simulate`] with telemetry. When `recorder` is enabled the engine
-/// gets it attached (via [`TrafficEngineer::set_recorder`]), each slot is
-/// timed as a `stage.slot` span, and the result carries one
-/// [`SlotTelemetry`] row per slot. The update-scheduling stage is
-/// measured by running the consistent planner between consecutive plans
-/// purely for telemetry — the idealized simulator still delivers the full
-/// allocation, so the emitted `SlotPlan`s and all completion metrics are
-/// identical to the unobserved run (the determinism test in
-/// `tests/observability.rs` checks exactly this).
+/// [`simulate`] with only the telemetry tier attached (see
+/// [`simulate_probed`]).
 pub fn simulate_observed(
     plant: &FiberPlant,
     requests: &[TransferRequest],
@@ -274,115 +296,67 @@ pub fn simulate_observed(
     config: &SimConfig,
     recorder: &Recorder,
 ) -> SimResult {
-    simulate_traced(
-        plant,
-        requests,
-        engine,
-        config,
-        recorder,
-        &ScopeRecorder::disabled(),
-    )
+    let probes = Probes {
+        recorder: recorder.clone(),
+        ..Probes::off()
+    };
+    simulate_probed(plant, requests, engine, config, &probes)
 }
 
-/// [`simulate_observed`] with a flight recorder attached: per-transfer
-/// lifecycle tracking, per-slot flight frames, and the causal span
-/// timeline all land on `scope`. With a disabled scope this is exactly
-/// [`simulate_observed`] — the slot loop takes the same early-return
-/// path and allocates nothing extra.
-pub fn simulate_traced(
+/// [`simulate`] with observability attached. The engine gets the
+/// recorder and profiler; each slot is timed as a `stage.slot` span and a
+/// `slot` region, the result carries one [`SlotTelemetry`] row per slot,
+/// the scope records transfer lifecycles and flight frames, and the why
+/// recorder gets per-transfer samples (a tripped SLO monitor freezes the
+/// flight recorder through [`owan_scope::ScopeRecorder::anomaly`]). The update
+/// into each plan is scheduled for telemetry only — the idealized
+/// simulator still delivers the full allocation — so plans and completion
+/// metrics are identical under every probe set.
+pub fn simulate_probed(
     plant: &FiberPlant,
     requests: &[TransferRequest],
     engine: &mut dyn TrafficEngineer,
     config: &SimConfig,
-    recorder: &Recorder,
-    scope: &ScopeRecorder,
-) -> SimResult {
-    simulate_profiled(
-        plant,
-        requests,
-        engine,
-        config,
-        recorder,
-        scope,
-        &Profiler::disabled(),
-    )
-}
-
-/// [`simulate_traced`] with a region profiler attached on top: the engine
-/// gets it via [`TrafficEngineer::set_profiler`], and the slot loop wraps
-/// each slot and its telemetry-only update-scheduling pass in `slot` /
-/// `update` regions. With a disabled profiler this is exactly
-/// [`simulate_traced`] — region opens cost one `Option` check.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_profiled(
-    plant: &FiberPlant,
-    requests: &[TransferRequest],
-    engine: &mut dyn TrafficEngineer,
-    config: &SimConfig,
-    recorder: &Recorder,
-    scope: &ScopeRecorder,
-    prof: &Profiler,
-) -> SimResult {
-    simulate_explained(
-        plant,
-        requests,
-        engine,
-        config,
-        recorder,
-        scope,
-        prof,
-        &WhyRecorder::disabled(),
-    )
-}
-
-/// [`simulate_profiled`] with the tier-4 attribution/SLO collector on
-/// top: every slot is fed to `why` (per-transfer rate samples, planning
-/// latency, throughput), and a tripped SLO monitor freezes the flight
-/// recorder through the existing [`ScopeRecorder::anomaly`] path. With
-/// a disabled why recorder this is exactly [`simulate_profiled`].
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_explained(
-    plant: &FiberPlant,
-    requests: &[TransferRequest],
-    engine: &mut dyn TrafficEngineer,
-    config: &SimConfig,
-    recorder: &Recorder,
-    scope: &ScopeRecorder,
-    prof: &Profiler,
-    why: &WhyRecorder,
+    probes: &Probes,
 ) -> SimResult {
     drive_slots(
-        plant,
         requests,
         &mut StaticPlant(plant),
         &mut SingleEngine(engine),
         config,
-        recorder,
-        scope,
-        prof,
-        why,
+        None,
+        probes,
+        None,
     )
 }
 
-/// The shared slot loop behind [`simulate_observed`],
-/// [`crate::failures::simulate_with_failures_observed`] and
-/// [`crate::failures::simulate_with_restarts`]: admission, feasibility
-/// gate, fluid delivery, deadline + starvation bookkeeping, telemetry.
-/// `base` supplies global parameters (θ, reconfiguration times); the plant
-/// each slot's engine actually sees comes from `plants`.
-#[allow(clippy::too_many_arguments)]
+/// The one controller slot loop behind every `owan-sim` run mode:
+/// admission, planning, feasibility gate, update scheduling, audit, fluid
+/// delivery, deadline + starvation bookkeeping, probes.
+///
+/// `charge` selects how transitions are paid for. `None` is the paper's
+/// idealized simulator: the update into each plan is scheduled only when
+/// telemetry or `audit` consumes it, and the full allocation is
+/// delivered. `Some(discipline)` schedules every update with that
+/// discipline and discounts the slot's delivery by the carried fraction
+/// ([`transition_factor`]). `audit` sees every planned slot; an `Err`
+/// stops the run with [`PlanError::Audit`].
 pub(crate) fn drive_slots(
-    base: &FiberPlant,
     requests: &[TransferRequest],
     plants: &mut dyn PlantProvider,
     engines: &mut dyn EngineSource,
     config: &SimConfig,
-    recorder: &Recorder,
-    scope: &ScopeRecorder,
-    prof: &Profiler,
-    why: &WhyRecorder,
+    charge: Option<UpdateDiscipline>,
+    probes: &Probes,
+    mut audit: Option<&mut AuditHook>,
 ) -> SimResult {
     assert!(config.rate_efficiency > 0.0 && config.rate_efficiency <= 1.0);
+    let Probes {
+        recorder,
+        scope,
+        prof,
+        why,
+    } = probes;
     let scope_on = scope.is_enabled();
     if scope_on {
         scope.begin_run(requests);
@@ -391,38 +365,26 @@ pub(crate) fn drive_slots(
     if why_on {
         why.begin_run(requests);
     }
+    let base = plants.base();
     let theta = base.params().wavelength_capacity_gbps;
+    let wavelengths = base.params().wavelengths_per_fiber;
+    let params = update_params(base);
     let mut engine_name = engines.engine_at(0).name().to_string();
     let telemetry = recorder.is_enabled().then(|| SimTelemetry::new(recorder));
-    let update_params = UpdateParams {
-        theta_gbps: theta,
-        circuit_time_s: base.params().circuit_reconfig_time_s,
-        ..Default::default()
-    };
+    let update_telemetry = telemetry
+        .as_ref()
+        .map_or_else(UpdateTelemetry::disabled, |t| t.update.clone());
+    let schedule_updates = charge.is_some() || telemetry.is_some() || audit.is_some();
     let mut slot_rows: Vec<SlotTelemetry> = Vec::new();
     let mut prev_plan: Option<SlotPlan> = None;
 
-    let mut transfers: Vec<Transfer> = requests
-        .iter()
-        .enumerate()
-        .map(|(id, r)| Transfer::from_request(id, r))
-        .collect();
-    let mut records: Vec<CompletionRecord> = requests
-        .iter()
-        .enumerate()
-        .map(|(id, r)| CompletionRecord {
-            id,
-            volume_gbits: r.volume_gbits,
-            arrival_s: r.arrival_s,
-            deadline_s: r.deadline_s,
-            completion_s: None,
-            gbits_by_deadline: 0.0,
-        })
-        .collect();
-
+    let (mut transfers, mut records) = start_transfers(requests);
     let mut throughput_series = Vec::new();
+    let mut delivered_series = Vec::new();
     let mut makespan_s: f64 = 0.0;
     let mut slots = 0;
+    let mut update_ops_total = 0usize;
+    let mut transition_loss_gbits = 0.0;
     let mut plan_error: Option<(usize, PlanError)> = None;
 
     for slot in 0..config.max_slots {
@@ -478,34 +440,69 @@ pub(crate) fn drive_slots(
         }
         throughput_series.push((now, plan.throughput_gbps));
 
-        // Telemetry-only update scheduling: the idealized simulator does
-        // not charge transitions (see [`crate::controller`] for the loop
-        // that does), but measuring the consistent planner here lets one
-        // run report every controller stage. The plan is dropped after
-        // counting; delivery below uses the full allocation either way.
-        let update_ops = match (&telemetry, &prev_plan) {
-            (Some(t), Some(prev)) => {
+        // The update from the previous plan into this one.
+        let transition = match &prev_plan {
+            Some(prev) if schedule_updates => {
                 let _region = prof.region("update");
                 let delta = NetworkDelta::from_plans(
                     &prev.topology,
                     &prev.allocations,
                     &plan.topology,
                     &plan.allocations,
-                    base.params().wavelengths_per_fiber,
+                    wavelengths,
                 );
-                plan_consistent_observed(&delta, &update_params, &t.update)
-                    .ops
-                    .len()
+                let update = match charge {
+                    Some(UpdateDiscipline::OneShot) => {
+                        plan_one_shot_observed(&delta, &params, &update_telemetry)
+                    }
+                    _ => plan_consistent_observed(&delta, &params, &update_telemetry),
+                };
+                Some((delta, update))
             }
-            _ => 0,
+            _ => None,
         };
+        let update_ops = transition.as_ref().map_or(0, |(_, u)| u.ops.len());
+        let (scale, loss) = match (&transition, charge) {
+            (Some((delta, update)), Some(_)) => {
+                update_ops_total += update_ops;
+                transition_factor(
+                    delta,
+                    update,
+                    &params,
+                    config.slot_len_s,
+                    plan.throughput_gbps,
+                )
+            }
+            _ => (1.0, 0.0),
+        };
+        transition_loss_gbits += loss;
+
+        if let Some(hook) = audit.as_deref_mut() {
+            let verdict = hook(&SlotAudit {
+                slot,
+                now_s: now,
+                believed_plant: current_plant,
+                transfers: &active,
+                plan: &plan,
+                delta: transition.as_ref().map(|(d, _)| d),
+                update: transition.as_ref().map(|(_, u)| u),
+                params,
+                slot_len_s: config.slot_len_s,
+                used_fallback: false,
+            });
+            if let Err(message) = verdict {
+                plan_error = Some((slot, PlanError::Audit(message)));
+                break;
+            }
+        }
 
         // Advance transfers.
         let mut got_rate = vec![false; transfers.len()];
         let mut scope_delivered = (scope_on || why_on).then(|| vec![0.0f64; transfers.len()]);
+        let mut slot_delivered = 0.0;
         for alloc in &plan.allocations {
             let rate_alloc = alloc.total_rate();
-            let rate = rate_alloc * config.rate_efficiency;
+            let rate = rate_alloc * config.rate_efficiency * scale;
             if rate <= EPS {
                 continue;
             }
@@ -513,35 +510,20 @@ pub(crate) fn drive_slots(
             debug_assert!(!t.is_complete(), "allocation to a finished transfer");
             got_rate[alloc.transfer] = true;
             let remaining_before = t.remaining_gbits;
-
-            let rec = &mut records[alloc.transfer];
-            // Bytes before the deadline (pro-rata within the slot).
-            if let Some(d) = t.deadline_s {
-                if d > now {
-                    let usable = (d - now).min(config.slot_len_s);
-                    let by_deadline = (rate * usable).min(t.remaining_gbits);
-                    rec.gbits_by_deadline =
-                        (rec.gbits_by_deadline + by_deadline).min(t.volume_gbits);
-                }
-            }
-            // A transfer whose *allocated* rate covers its remaining volume
-            // finishes this slot; with impaired delivery it finishes up to
-            // `1/rate_efficiency` later within (or just past) the slot.
-            // Modeling the under-delivered sliver this way avoids the
-            // unphysical geometric tail a demand-capped allocator would
-            // otherwise produce.
-            if rate_alloc * config.slot_len_s + EPS >= t.remaining_gbits {
-                let finish = now + t.remaining_gbits / rate;
-                t.remaining_gbits = 0.0;
-                rec.completion_s = Some(finish);
-                makespan_s = makespan_s.max(finish);
-            } else {
-                t.remaining_gbits -= rate * config.slot_len_s;
-            }
+            slot_delivered += deliver(
+                t,
+                &mut records[alloc.transfer],
+                rate_alloc,
+                rate,
+                now,
+                config.slot_len_s,
+                &mut makespan_s,
+            );
             if let Some(delivered) = scope_delivered.as_mut() {
                 delivered[alloc.transfer] = remaining_before - t.remaining_gbits;
             }
         }
+        delivered_series.push((now, slot_delivered));
 
         // Numerical-dust floor: see COMPLETION_FLOOR_GBITS.
         for (i, t) in transfers.iter_mut().enumerate() {
@@ -553,18 +535,7 @@ pub(crate) fn drive_slots(
             }
         }
 
-        // Starvation guard bookkeeping.
-        let mut queue_depth = 0usize;
-        for (i, t) in transfers.iter_mut().enumerate() {
-            if t.arrival_s <= now + EPS && !t.is_complete() {
-                if got_rate[i] {
-                    t.starved_slots = 0;
-                } else {
-                    t.starved_slots += 1;
-                    queue_depth += 1;
-                }
-            }
-        }
+        let queue_depth = book_starvation(&mut transfers, &got_rate, now);
 
         let at_risk = if telemetry.is_some() || scope_on {
             at_risk_count(&active, &plan, now)
@@ -619,40 +590,13 @@ pub(crate) fn drive_slots(
             });
         }
         if let (true, Some(delivered)) = (why_on, &scope_delivered) {
-            // Tier-4 feed: allocation-order samples first (the order
-            // the chaos runner books its Gb ledger in), then the
-            // queued actives. The idealized simulator has no
-            // transitions, blackholes, or attacks, so full == live,
-            // scale == 1, and the fault channel stays empty.
-            let mut samples: Vec<TransferSample> = Vec::with_capacity(active.len());
-            let mut allocated = vec![false; transfers.len()];
-            for alloc in &plan.allocations {
-                let id = alloc.transfer;
-                let rate_alloc = alloc.total_rate();
-                allocated[id] = true;
-                samples.push(TransferSample {
-                    id,
-                    full_rate_gbps: rate_alloc,
-                    live_rate_gbps: rate_alloc,
-                    delivered_gbits: delivered[id],
-                    remaining_gbits: transfers[id].remaining_gbits,
-                    completion_s: records[id].completion_s,
-                    queued: rate_alloc <= EPS,
-                });
-            }
-            for t in &active {
-                if !allocated[t.id] {
-                    samples.push(TransferSample {
-                        id: t.id,
-                        full_rate_gbps: 0.0,
-                        live_rate_gbps: 0.0,
-                        delivered_gbits: 0.0,
-                        remaining_gbits: transfers[t.id].remaining_gbits,
-                        completion_s: records[t.id].completion_s,
-                        queued: true,
-                    });
-                }
-            }
+            // No blackholes or attacks here: full == live, and the fault
+            // channel stays empty.
+            let rates = plan.allocations.iter().map(|a| {
+                let rate_alloc = a.total_rate();
+                (a.transfer, rate_alloc, rate_alloc)
+            });
+            let samples = why_samples(rates, &active, delivered, &transfers, &records);
             if let Some(reason) = why.observe_slot(&WhySlotObservation {
                 slot,
                 now_s: now,
@@ -660,7 +604,7 @@ pub(crate) fn drive_slots(
                 start_ns: slot_start_ns,
                 end_ns: recorder.now_ns().max(slot_start_ns),
                 plan_ns,
-                transition_scale: 1.0,
+                transition_scale: scale,
                 throughput_gbps: plan.throughput_gbps,
                 attack_active: false,
                 samples: &samples,
@@ -669,7 +613,7 @@ pub(crate) fn drive_slots(
                 scope.anomaly(reason, slot);
             }
         }
-        if telemetry.is_some() {
+        if schedule_updates {
             prev_plan = Some(plan);
         }
         slot_region.finish();
@@ -684,10 +628,137 @@ pub(crate) fn drive_slots(
         completions: records,
         makespan_s,
         throughput_series,
+        delivered_series,
         slots,
+        update_ops: update_ops_total,
+        transition_loss_gbits,
         telemetry: telemetry.map(|_| slot_rows),
         plan_error,
     }
+}
+
+/// Fresh transfer state and unfinished outcome records for `requests`,
+/// both indexed by transfer id.
+pub fn start_transfers(requests: &[TransferRequest]) -> (Vec<Transfer>, Vec<CompletionRecord>) {
+    let transfers = requests
+        .iter()
+        .enumerate()
+        .map(|(id, r)| Transfer::from_request(id, r))
+        .collect();
+    let records = requests
+        .iter()
+        .enumerate()
+        .map(|(id, r)| CompletionRecord {
+            id,
+            volume_gbits: r.volume_gbits,
+            arrival_s: r.arrival_s,
+            deadline_s: r.deadline_s,
+            completion_s: None,
+            gbits_by_deadline: 0.0,
+        })
+        .collect();
+    (transfers, records)
+}
+
+/// Advances one transfer through the slot starting at `now`: `rate` is
+/// what the network actually carries for it, `rate_alloc` the allocation
+/// that rate was derived from. Books pro-rata bytes before the deadline
+/// and, when the allocation covers the remaining volume, the completion
+/// instant (folded into `makespan_s`). Returns the volume booked as
+/// delivered this slot.
+///
+/// Completion keys off the *allocated* rate: a transfer whose allocation
+/// covers its remaining volume finishes this slot, merely later when
+/// impairment, a transition or a blackhole ate into the slot. Modeling
+/// the under-delivered sliver this way avoids the unphysical geometric
+/// tail a demand-capped allocator would otherwise produce.
+pub fn deliver(
+    t: &mut Transfer,
+    rec: &mut CompletionRecord,
+    rate_alloc: f64,
+    rate: f64,
+    now: f64,
+    slot_len_s: f64,
+    makespan_s: &mut f64,
+) -> f64 {
+    if let Some(d) = t.deadline_s {
+        if d > now {
+            let usable = (d - now).min(slot_len_s);
+            let by_deadline = (rate * usable).min(t.remaining_gbits);
+            rec.gbits_by_deadline = (rec.gbits_by_deadline + by_deadline).min(t.volume_gbits);
+        }
+    }
+    if rate_alloc * slot_len_s + EPS >= t.remaining_gbits {
+        let finish = now + t.remaining_gbits / rate;
+        let booked = t.remaining_gbits;
+        t.remaining_gbits = 0.0;
+        rec.completion_s = Some(finish);
+        *makespan_s = makespan_s.max(finish);
+        booked
+    } else {
+        let vol = rate * slot_len_s;
+        t.remaining_gbits -= vol;
+        vol
+    }
+}
+
+/// Starvation bookkeeping, the §3.2 guard's input: every arrived,
+/// unfinished transfer that got no rate this slot ages by one starved
+/// slot, and a served one resets. Returns how many starved this slot.
+pub fn book_starvation(transfers: &mut [Transfer], got_rate: &[bool], now: f64) -> usize {
+    let mut starved = 0usize;
+    for (i, t) in transfers.iter_mut().enumerate() {
+        if t.arrival_s <= now + EPS && !t.is_complete() {
+            if got_rate[i] {
+                t.starved_slots = 0;
+            } else {
+                t.starved_slots += 1;
+                starved += 1;
+            }
+        }
+    }
+    starved
+}
+
+/// The tier-4 feed for one slot: one sample per allocation, in
+/// allocation order (the order the chaos runner books its Gb ledger in),
+/// from `(transfer, full rate, live rate)`, then one queued sample per
+/// active transfer without an allocation.
+pub fn why_samples(
+    rates: impl IntoIterator<Item = (usize, f64, f64)>,
+    active: &[Transfer],
+    delivered: &[f64],
+    transfers: &[Transfer],
+    records: &[CompletionRecord],
+) -> Vec<TransferSample> {
+    let mut samples: Vec<TransferSample> = Vec::with_capacity(active.len());
+    let mut sampled = vec![false; transfers.len()];
+    for (id, full_rate_gbps, live_rate_gbps) in rates {
+        sampled[id] = true;
+        samples.push(TransferSample {
+            id,
+            full_rate_gbps,
+            live_rate_gbps,
+            delivered_gbits: delivered[id],
+            remaining_gbits: transfers[id].remaining_gbits,
+            completion_s: records[id].completion_s,
+            queued: full_rate_gbps <= EPS,
+        });
+    }
+    for t in active {
+        if !sampled[t.id] {
+            samples.push(TransferSample {
+                id: t.id,
+                full_rate_gbps: 0.0,
+                live_rate_gbps: 0.0,
+                delivered_gbits: 0.0,
+                remaining_gbits: transfers[t.id].remaining_gbits,
+                completion_s: records[t.id].completion_s,
+                queued: true,
+            });
+        }
+    }
+    samples
 }
 
 /// One [`TransferSlotRow`] per active transfer, for the scope's transfer

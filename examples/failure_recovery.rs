@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example failure_recovery`
 
 use owan::core::{default_topology, OwanConfig, OwanEngine, TransferRequest};
-use owan::sim::{simulate_with_failures, Failure, FailureEvent, SimConfig};
+use owan::sim::{simulate_with_failures, Failure, FailureEvent, Probes, SimConfig};
 use owan::topo::internet2_wan;
 
 fn main() {
@@ -41,7 +41,15 @@ fn main() {
         slot_len_s: 300.0,
         ..Default::default()
     };
-    let result = simulate_with_failures(plant, &requests, &mut engine, &cfg, &events);
+    let result = simulate_with_failures(
+        plant,
+        &requests,
+        &mut engine,
+        &cfg,
+        &events,
+        &Probes::off(),
+        None,
+    );
 
     println!("fiber SEAT-SALT cut at t=1200 s");
     for (t, gbps) in &result.throughput_series {

@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release --example update_disciplines`
 
 use owan::core::{default_topology, OwanConfig, OwanEngine};
-use owan::sim::{run_controller, ControllerConfig, UpdateDiscipline};
+use owan::sim::{run_controller, Probes, SimConfig, UpdateDiscipline};
 use owan::topo::internet2_testbed;
 use owan::workload::{generate, WorkloadConfig};
 
@@ -22,12 +22,15 @@ fn main() {
     println!("discipline,completed,makespan_s,update_ops,transition_loss_gbits");
     for discipline in [UpdateDiscipline::Consistent, UpdateDiscipline::OneShot] {
         let mut engine = OwanEngine::new(default_topology(&net.plant), OwanConfig::default());
-        let cfg = ControllerConfig {
-            slot_len_s: 300.0,
+        let cfg = SimConfig::default();
+        let res = run_controller(
+            &net.plant,
+            &requests,
+            &mut engine,
+            &cfg,
             discipline,
-            ..Default::default()
-        };
-        let res = run_controller(&net.plant, &requests, &mut engine, &cfg);
+            &Probes::off(),
+        );
         println!(
             "{discipline:?},{}/{},{:.0},{},{:.1}",
             res.completions

@@ -54,8 +54,8 @@
 //! `cargo run --release --bin owan-cli -- --net internet2 --engine owan --load 1.5`
 
 use owan::chaos::{
-    run_attack_explained, run_chaos, run_chaos_explained, seeded_scenario, AttackOutcome,
-    AttackTimeline, ChaosConfig, ChaosResult, OpFaultModel, SlotAudit,
+    run_attack, run_chaos_probed, seeded_scenario, AttackOutcome, AttackSpec, AttackTimeline,
+    AuditHook, ChaosConfig, ChaosResult, ChaosSpec, FaultEvent, OpFaultModel, SlotAudit,
 };
 use owan::core::{
     default_topology, AnnealConfig, OwanConfig, OwanEngine, Profiler, SchedulingPolicy,
@@ -63,15 +63,13 @@ use owan::core::{
 };
 use owan::obs::{format_counter_table, format_stage_table, Recorder};
 use owan::oracle::{
-    check_plan, check_timeline, fuzz_attack_observed, fuzz_chaos_observed, fuzz_seeds_observed,
-    replay_scenario_observed, ChaosReplayConfig, ReplayConfig, Reproducer, Scenario,
+    audit_slot, fuzz_attack, fuzz_chaos, fuzz_seeds, replay_scenario, ChaosReplayConfig,
+    ReplayConfig, Reproducer, Scenario,
 };
 use owan::scope::{render_top, FlightDump, MetricsServer, ScopeConfig, ScopeRecorder};
 use owan::sim::metrics::{self, SizeBin};
-use owan::sim::runner::{
-    run_engine_explained, run_engine_profiled, run_engine_traced, EngineKind, RunnerConfig,
-};
-use owan::sim::SimConfig;
+use owan::sim::runner::{run_engine_probed, EngineKind, RunnerConfig};
+use owan::sim::{Probes, SimConfig};
 use owan::topo::{inter_dc, internet2_testbed, isp_backbone, Network};
 use owan::why::{render_explain, render_slo, SloConfig, WhyConfig, WhyRecorder, WhyReport};
 use owan::workload::attack::{
@@ -323,14 +321,14 @@ fn write_obs(cmd: &str, recorder: &Recorder, path: &Option<String>) {
 /// Writes the scope's Chrome trace to `path` (if set). An enabled
 /// profiler's retained spans are merged into the same trace (category
 /// `prof`).
-fn write_trace(
-    cmd: &str,
-    scope: &ScopeRecorder,
-    recorder: &Recorder,
-    prof: &Profiler,
-    path: &Option<String>,
-) {
+fn write_trace(cmd: &str, probes: &Probes, path: &Option<String>) {
     let Some(path) = path else { return };
+    let Probes {
+        recorder,
+        scope,
+        prof,
+        ..
+    } = probes;
     let snapshot = recorder.is_enabled().then(|| recorder.snapshot());
     let mut out: Vec<u8> = Vec::new();
     let prof_spans = if prof.is_enabled() {
@@ -351,6 +349,144 @@ fn write_trace(
         std::process::exit(1);
     }
     eprintln!("wrote {} spans to {path}", scope.span_count() + prof_spans);
+}
+
+/// The annealed engine the chaos-shaped commands rebuild from the believed
+/// plant at start and after every crash.
+fn owan_engine(plant: &owan::optical::FiberPlant, iters: usize, seed: u64) -> OwanEngine {
+    let owan_config = OwanConfig {
+        anneal: AnnealConfig {
+            max_iterations: iters,
+            seed: seed.wrapping_add(1),
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    OwanEngine::new(default_topology(plant), owan_config)
+}
+
+/// The seeded chaos scenario `chaos`, `explain --chaos` / `slo --chaos`
+/// and `verify --replay` of a flight dump all run: every knob a dump's
+/// metadata carries to rebuild the run exactly.
+struct ChaosCase {
+    net_name: String,
+    seed: u64,
+    load: f64,
+    sigma: Option<f64>,
+    slot: f64,
+    slots: usize,
+    iters: usize,
+    detect: f64,
+    timeout_prob: f64,
+    fail_prob: f64,
+}
+
+/// A built [`ChaosCase`]: the plant, the workload and the fault timeline.
+struct ChaosWorld {
+    plant: owan::optical::FiberPlant,
+    requests: Vec<TransferRequest>,
+    events: Vec<FaultEvent>,
+}
+
+impl ChaosCase {
+    fn from_args(args: &Args, cmd: &str) -> Self {
+        ChaosCase {
+            net_name: args.get("--net").unwrap_or("internet2").to_string(),
+            seed: args.parse("--seed", 42u64),
+            load: args.parse("--load", 1.0f64),
+            sigma: args.get("--sigma").map(|raw| {
+                raw.parse().unwrap_or_else(|_| {
+                    eprintln!("owan-cli{cmd}: invalid value '{raw}' for --sigma");
+                    std::process::exit(2);
+                })
+            }),
+            slot: args.parse("--slot", 300.0f64),
+            slots: args.parse("--slots", 60usize),
+            iters: args.parse("--iters", 60usize),
+            detect: args.parse("--detect", 30.0f64),
+            timeout_prob: args.parse("--timeout-prob", 0.1f64),
+            fail_prob: args.parse("--fail-prob", 0.05f64),
+        }
+    }
+
+    /// Builds the network, the seeded workload and the fault timeline.
+    fn world(&self, cmd: &str) -> ChaosWorld {
+        let network = build_network(cmd, &self.net_name);
+        let mut wl = if self.net_name == "internet2" {
+            WorkloadConfig::testbed(self.load, self.seed)
+        } else {
+            WorkloadConfig::simulation(self.load, self.seed)
+        };
+        if let Some(s) = self.sigma {
+            wl = wl.with_deadlines(self.slot, s);
+        }
+        let requests = generate(&network, &wl);
+        let events = seeded_scenario(&network.plant, self.seed, self.slot * self.slots as f64);
+        ChaosWorld {
+            plant: network.plant,
+            requests,
+            events,
+        }
+    }
+
+    /// Stamps the reconstruction metadata on a flight-recording scope.
+    fn stamp(&self, scope: &ScopeRecorder, flight_slots: usize) {
+        scope.set_meta("mode", "chaos");
+        scope.set_meta("net", &self.net_name);
+        scope.set_meta("seed", self.seed);
+        scope.set_meta("load", self.load);
+        if let Some(s) = self.sigma {
+            scope.set_meta("sigma", s);
+        }
+        scope.set_meta("slot_len_s", self.slot);
+        scope.set_meta("slots", self.slots);
+        scope.set_meta("iters", self.iters);
+        scope.set_meta("detect_s", self.detect);
+        scope.set_meta("timeout_prob", self.timeout_prob);
+        scope.set_meta("fail_prob", self.fail_prob);
+        scope.set_meta("scope_slots", flight_slots);
+    }
+
+    /// Runs the hardened loop on `world`: under the seeded faults, or
+    /// fault-free when `faulted` is false.
+    fn run(
+        &self,
+        world: &ChaosWorld,
+        faulted: bool,
+        probes: &Probes,
+        audit: Option<&mut AuditHook>,
+    ) -> Result<ChaosResult, String> {
+        let faults = if faulted {
+            ChaosSpec {
+                events: &world.events,
+                op_faults: OpFaultModel {
+                    seed: self.seed,
+                    timeout_prob: self.timeout_prob,
+                    fail_prob: self.fail_prob,
+                },
+            }
+        } else {
+            ChaosSpec::quiet()
+        };
+        let config = ChaosConfig {
+            slot_len_s: self.slot,
+            max_slots: self.slots,
+            detection_delay_s: self.detect,
+            ..Default::default()
+        };
+        let mut make_engine = |p: &owan::optical::FiberPlant| {
+            Box::new(owan_engine(p, self.iters, self.seed)) as Box<dyn TrafficEngineer>
+        };
+        run_chaos_probed(
+            &world.plant,
+            &world.requests,
+            &mut make_engine,
+            &config,
+            faults,
+            probes,
+            audit,
+        )
+    }
 }
 
 /// Everything the run-shaped commands (default run, `transfers`, `top`)
@@ -522,9 +658,7 @@ fn stamp_slo_meta(scope: &ScopeRecorder, slo: &SloConfig) {
 /// Everything `explain` and `slo` need back from a why-recorded run.
 struct WhyRun {
     report: WhyReport,
-    recorder: Recorder,
-    scope: ScopeRecorder,
-    prof: Profiler,
+    probes: Probes,
 }
 
 /// Runs the configured scenario for `explain` / `slo` with the tier-4
@@ -536,83 +670,20 @@ fn why_run(args: &Args, cmd: &str) -> WhyRun {
     let slo = slo_from_args(args);
     let why = WhyRecorder::enabled(WhyConfig { slo: slo.clone() }, &recorder);
 
-    let (scope, prof);
+    let probes;
     if args.flag("--chaos") {
-        let net_name = args.get("--net").unwrap_or("internet2").to_string();
-        let network = build_network(cmd, &net_name);
-        let seed = args.parse("--seed", 42u64);
-        let load = args.parse("--load", 1.0f64);
-        let sigma: Option<f64> = args.get("--sigma").map(|raw| {
-            raw.parse().unwrap_or_else(|_| {
-                eprintln!("owan-cli{cmd}: invalid value '{raw}' for --sigma");
-                std::process::exit(2);
-            })
-        });
-        let slot = args.parse("--slot", 300.0f64);
-        let slots = args.parse("--slots", 60usize);
-        let iters = args.parse("--iters", 60usize);
-        let detect = args.parse("--detect", 30.0f64);
-        let timeout_prob = args.parse("--timeout-prob", 0.1f64);
-        let fail_prob = args.parse("--fail-prob", 0.05f64);
-
-        let mut wl = if net_name == "internet2" {
-            WorkloadConfig::testbed(load, seed)
-        } else {
-            WorkloadConfig::simulation(load, seed)
-        };
-        if let Some(s) = sigma {
-            wl = wl.with_deadlines(slot, s);
-        }
-        let requests = generate(&network, &wl);
-        let plant = network.plant;
-        let events = seeded_scenario(&plant, seed, slot * slots as f64);
-        let op_faults = OpFaultModel {
-            seed,
-            timeout_prob,
-            fail_prob,
-        };
-        let config = ChaosConfig {
-            slot_len_s: slot,
-            max_slots: slots,
-            detection_delay_s: detect,
-            ..Default::default()
-        };
-        let mut make_engine = |p: &owan::optical::FiberPlant| {
-            let owan_config = OwanConfig {
-                anneal: AnnealConfig {
-                    max_iterations: iters,
-                    seed: seed.wrapping_add(1),
-                    ..Default::default()
-                },
-                ..Default::default()
-            };
-            Box::new(OwanEngine::new(default_topology(p), owan_config)) as Box<dyn TrafficEngineer>
-        };
-
-        prof = Profiler::disabled();
+        let case = ChaosCase::from_args(args, cmd);
+        let world = case.world(cmd);
         let dump_path = args.get("--scope-dump").map(str::to_string);
         let scope_on =
             args.flag("--scope") || dump_path.is_some() || args.get("--scope-trace").is_some();
-        scope = if scope_on {
+        let scope = if scope_on {
             let flight_slots = args.parse("--scope-slots", 16usize);
             let scope = ScopeRecorder::enabled(ScopeConfig {
                 flight_slots,
                 dump_path: dump_path.map(PathBuf::from),
             });
-            scope.set_meta("mode", "chaos");
-            scope.set_meta("net", &net_name);
-            scope.set_meta("seed", seed);
-            scope.set_meta("load", load);
-            if let Some(s) = sigma {
-                scope.set_meta("sigma", s);
-            }
-            scope.set_meta("slot_len_s", slot);
-            scope.set_meta("slots", slots);
-            scope.set_meta("iters", iters);
-            scope.set_meta("detect_s", detect);
-            scope.set_meta("timeout_prob", timeout_prob);
-            scope.set_meta("fail_prob", fail_prob);
-            scope.set_meta("scope_slots", flight_slots);
+            case.stamp(&scope, flight_slots);
             stamp_slo_meta(&scope, &slo);
             scope
         } else {
@@ -620,30 +691,31 @@ fn why_run(args: &Args, cmd: &str) -> WhyRun {
         };
 
         eprintln!(
-            "owan-cli{cmd}: chaos {net_name}, {} transfers, {} fault events, \
-             {slots} slots of {slot}s",
-            requests.len(),
-            events.len()
+            "owan-cli{cmd}: chaos {}, {} transfers, {} fault events, {} slots of {}s",
+            case.net_name,
+            world.requests.len(),
+            world.events.len(),
+            case.slots,
+            case.slot
         );
-        if let Err(e) = run_chaos_explained(
-            &plant,
-            &requests,
-            &mut make_engine,
-            &config,
-            &events,
-            &op_faults,
-            &recorder,
-            &scope,
-            &why,
-            None,
-        ) {
+        probes = Probes {
+            recorder,
+            scope,
+            why,
+            ..Probes::off()
+        };
+        if let Err(e) = case.run(&world, true, &probes, None) {
             eprintln!("owan-cli{cmd}: FAIL: {e}");
             std::process::exit(1);
         }
     } else {
         let setup = run_setup(args);
-        scope = scope_from_args(args, &setup, "sim", false);
-        prof = Profiler::enabled();
+        probes = Probes {
+            recorder,
+            scope: scope_from_args(args, &setup, "sim", false),
+            prof: Profiler::enabled(),
+            why,
+        };
         eprintln!(
             "owan-cli{cmd}: {} on {}, {} transfers, load {}, slot {}s",
             setup.engine_name,
@@ -652,18 +724,21 @@ fn why_run(args: &Args, cmd: &str) -> WhyRun {
             setup.load,
             setup.slot
         );
-        run_engine_explained(
+        run_engine_probed(
             setup.kind,
             &setup.network,
             &setup.requests,
             &setup.cfg,
-            &recorder,
-            &scope,
-            &prof,
-            &why,
+            &probes,
         );
     }
 
+    let Probes {
+        recorder,
+        prof,
+        why,
+        ..
+    } = &probes;
     if prof.is_enabled() {
         why.attach_prof(&prof.snapshot());
     }
@@ -672,30 +747,24 @@ fn why_run(args: &Args, cmd: &str) -> WhyRun {
         eprintln!("owan-cli{cmd}: the run recorded no slots");
         std::process::exit(1);
     });
-    WhyRun {
-        report,
-        recorder,
-        scope,
-        prof,
-    }
+    WhyRun { report, probes }
 }
 
 /// Shared tail of `explain` / `slo`: honor the export flags the run
 /// options advertise (`--scope-trace`, `--prof`, `--obs`).
 fn why_run_exports(args: &Args, cmd: &str, run: &WhyRun) {
-    if run.scope.is_enabled() {
+    if run.probes.scope.is_enabled() {
         write_trace(
             cmd,
-            &run.scope,
-            &run.recorder,
-            &run.prof,
+            &run.probes,
             &args.get("--scope-trace").map(str::to_string),
         );
     }
     if let Some(path) = args.get("--prof") {
-        if run.prof.is_enabled() {
+        if run.probes.prof.is_enabled() {
             let mut out: Vec<u8> = Vec::new();
-            run.prof
+            run.probes
+                .prof
                 .write_folded(&mut out)
                 .expect("serializing to memory cannot fail");
             if let Err(e) = std::fs::write(path, &out) {
@@ -708,7 +777,11 @@ fn why_run_exports(args: &Args, cmd: &str, run: &WhyRun) {
             );
         }
     }
-    write_obs(cmd, &run.recorder, &args.get("--obs").map(str::to_string));
+    write_obs(
+        cmd,
+        &run.probes.recorder,
+        &args.get("--obs").map(str::to_string),
+    );
 }
 
 /// `owan-cli explain`: re-run the scenario with the why recorder joined
@@ -763,7 +836,6 @@ fn verify_main(args: &Args) -> ! {
     let iters = args.parse("--iters", 40usize);
     let config = ReplayConfig {
         anneal_iterations: iters,
-        check_updates: true,
     };
     let out_path = args.get("--out").map(str::to_string);
     let obs_path = args.get("--obs").map(str::to_string);
@@ -771,6 +843,10 @@ fn verify_main(args: &Args) -> ! {
         Recorder::enabled()
     } else {
         Recorder::disabled()
+    };
+    let probes = Probes {
+        recorder: recorder.clone(),
+        ..Probes::off()
     };
 
     let fail = |message: &str, repro: Option<&Reproducer>| -> ! {
@@ -811,7 +887,7 @@ fn verify_main(args: &Args) -> ! {
             scenario.requests.len(),
             scenario.failures.len()
         );
-        match replay_scenario_observed(&scenario, &config, &recorder) {
+        match replay_scenario(&scenario, &mut config.engine(&scenario), &probes) {
             Ok(stats) => {
                 println!(
                     "OK: seed {} replayed clean ({} slots, {} plans, {} transitions checked)",
@@ -848,7 +924,7 @@ fn verify_main(args: &Args) -> ! {
             slot_len_s: slot_len,
             max_slots: slots,
         };
-        match replay_scenario_observed(&scenario, &config, &recorder) {
+        match replay_scenario(&scenario, &mut config.engine(&scenario), &probes) {
             Ok(stats) => {
                 println!(
                     "OK: {net_name} replayed clean ({} slots, {} plans, {} transitions checked, \
@@ -876,7 +952,7 @@ fn verify_main(args: &Args) -> ! {
             anneal_iterations: iters,
             ..Default::default()
         };
-        match fuzz_attack_observed(start, count, &chaos_config, &recorder) {
+        match fuzz_attack(start, count, &chaos_config, &probes) {
             Ok(stats) => {
                 println!(
                     "OK: {} attack scenarios replayed clean ({} slots, {} plans, {} update \
@@ -905,7 +981,7 @@ fn verify_main(args: &Args) -> ! {
             anneal_iterations: iters,
             ..Default::default()
         };
-        match fuzz_chaos_observed(start, count, &chaos_config, &recorder) {
+        match fuzz_chaos(start, count, &chaos_config, &probes) {
             Ok(stats) => {
                 println!(
                     "OK: {} chaos scenarios replayed clean ({} slots, {} plans, {} update \
@@ -928,7 +1004,7 @@ fn verify_main(args: &Args) -> ! {
         "fuzzing seeds {start}..{} with {iters} anneal iters",
         start + count
     );
-    match fuzz_seeds_observed(start, count, &config, &recorder) {
+    match fuzz_seeds(start, count, &config, &probes) {
         Ok(stats) => {
             println!(
                 "OK: {} seeds replayed clean ({} slots, {} plans, {} transitions checked)",
@@ -977,62 +1053,32 @@ fn replay_flight_dump(
         );
         std::process::exit(2);
     }
-    let net_name = meta("net");
-    let seed = parse("seed", &meta("seed")) as u64;
-    let load = parse("load", &meta("load"));
-    let slot = parse("slot_len_s", &meta("slot_len_s"));
-    let slots = parse("slots", &meta("slots")) as usize;
-    let iters = dump
-        .meta
-        .get("iters")
-        .map_or(iters_flag, |raw| parse("iters", raw) as usize);
-    let detect = parse("detect_s", &meta("detect_s"));
-    let timeout_prob = parse("timeout_prob", &meta("timeout_prob"));
-    let fail_prob = parse("fail_prob", &meta("fail_prob"));
+    let case = ChaosCase {
+        net_name: meta("net"),
+        seed: parse("seed", &meta("seed")) as u64,
+        load: parse("load", &meta("load")),
+        sigma: dump.meta.get("sigma").map(|raw| parse("sigma", raw)),
+        slot: parse("slot_len_s", &meta("slot_len_s")),
+        slots: parse("slots", &meta("slots")) as usize,
+        iters: dump
+            .meta
+            .get("iters")
+            .map_or(iters_flag, |raw| parse("iters", raw) as usize),
+        detect: parse("detect_s", &meta("detect_s")),
+        timeout_prob: parse("timeout_prob", &meta("timeout_prob")),
+        fail_prob: parse("fail_prob", &meta("fail_prob")),
+    };
     let flight_slots = parse("scope_slots", &meta("scope_slots")) as usize;
 
     eprintln!(
-        "replaying flight dump {path}: {} anomaly at slot {}, {} frames, net {net_name}, seed {seed}",
+        "replaying flight dump {path}: {} anomaly at slot {}, {} frames, net {}, seed {}",
         dump.reason,
         dump.anomaly_slot,
-        dump.frames.len()
+        dump.frames.len(),
+        case.net_name,
+        case.seed
     );
-
-    let network = build_network(" verify", &net_name);
-    let mut wl = if net_name == "internet2" {
-        WorkloadConfig::testbed(load, seed)
-    } else {
-        WorkloadConfig::simulation(load, seed)
-    };
-    if let Some(raw) = dump.meta.get("sigma") {
-        wl = wl.with_deadlines(slot, parse("sigma", raw));
-    }
-    let requests = generate(&network, &wl);
-    let plant = network.plant;
-    let horizon = slot * slots as f64;
-    let events = seeded_scenario(&plant, seed, horizon);
-    let op_faults = OpFaultModel {
-        seed,
-        timeout_prob,
-        fail_prob,
-    };
-    let config = ChaosConfig {
-        slot_len_s: slot,
-        max_slots: slots,
-        detection_delay_s: detect,
-        ..Default::default()
-    };
-    let mut make_engine = |p: &owan::optical::FiberPlant| {
-        let owan_config = OwanConfig {
-            anneal: AnnealConfig {
-                max_iterations: iters,
-                seed: seed.wrapping_add(1),
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        Box::new(OwanEngine::new(default_topology(p), owan_config)) as Box<dyn TrafficEngineer>
-    };
+    let world = case.world(" verify");
 
     let scope = ScopeRecorder::enabled(ScopeConfig {
         flight_slots,
@@ -1065,44 +1111,20 @@ fn replay_flight_dump(
         None => WhyRecorder::disabled(),
     };
 
-    let checked = recorder.counter("oracle.invariant_checked");
-    let violated = recorder.counter("oracle.invariant_violated");
-    let mut audit = |a: &SlotAudit| -> Result<(), String> {
-        checked.add(1);
-        if let Err(v) = check_plan(a.believed_plant, a.transfers, a.slot_len_s, a.plan) {
-            violated.add(1);
-            scope.anomaly("oracle.invariant_violated", a.slot);
-            return Err(format!("slot plan: {v}"));
-        }
-        if let (Some(delta), Some(update)) = (a.delta, a.update) {
-            checked.add(1);
-            if let Err(v) = check_timeline(delta, update, &a.params) {
-                violated.add(1);
-                scope.anomaly("oracle.invariant_violated", a.slot);
-                return Err(format!("update: {v}"));
-            }
-        }
-        Ok(())
+    let probes = Probes {
+        recorder: recorder.clone(),
+        scope,
+        why,
+        ..Probes::off()
     };
-
-    if let Err(e) = run_chaos_explained(
-        &plant,
-        &requests,
-        &mut make_engine,
-        &config,
-        &events,
-        &op_faults,
-        recorder,
-        &scope,
-        &why,
-        Some(&mut audit),
-    ) {
+    let mut audit = |a: &SlotAudit| audit_slot(a, &probes);
+    if let Err(e) = case.run(&world, true, &probes, Some(&mut audit)) {
         eprintln!("owan-cli verify: FAIL: flight-dump replay violated an invariant: {e}");
         write_obs(" verify", recorder, obs_path);
         std::process::exit(1);
     }
 
-    let regenerated = scope.dump_text();
+    let regenerated = probes.scope.dump_text();
     write_obs(" verify", recorder, obs_path);
     match regenerated {
         None => {
@@ -1138,22 +1160,7 @@ fn replay_flight_dump(
 /// hardened controller fault-free and faulted (auditing every slot), and
 /// reports the delivered-volume loss plus the fault/recovery counters.
 fn chaos_main(args: &Args) -> ! {
-    let net_name = args.get("--net").unwrap_or("internet2").to_string();
-    let network = build_network(" chaos", &net_name);
-    let seed = args.parse("--seed", 42u64);
-    let load = args.parse("--load", 1.0f64);
-    let sigma: Option<f64> = args.get("--sigma").map(|raw| {
-        raw.parse().unwrap_or_else(|_| {
-            eprintln!("owan-cli chaos: invalid value '{raw}' for --sigma");
-            std::process::exit(2);
-        })
-    });
-    let slot = args.parse("--slot", 300.0f64);
-    let slots = args.parse("--slots", 60usize);
-    let iters = args.parse("--iters", 60usize);
-    let detect = args.parse("--detect", 30.0f64);
-    let timeout_prob = args.parse("--timeout-prob", 0.1f64);
-    let fail_prob = args.parse("--fail-prob", 0.05f64);
+    let case = ChaosCase::from_args(args, " chaos");
     let obs_path = args.get("--obs").map(str::to_string);
     let scope_dump = args.get("--scope-dump").map(str::to_string);
     let scope_trace = args.get("--scope-trace").map(str::to_string);
@@ -1161,48 +1168,19 @@ fn chaos_main(args: &Args) -> ! {
     let flight_slots = args.parse("--scope-slots", 16usize);
     let slo = slo_from_args(args);
     let why_enabled = slo_flags_on(args);
-
-    let mut wl = if net_name == "internet2" {
-        WorkloadConfig::testbed(load, seed)
-    } else {
-        WorkloadConfig::simulation(load, seed)
-    };
-    if let Some(s) = sigma {
-        wl = wl.with_deadlines(slot, s);
-    }
-    let requests = generate(&network, &wl);
-    let plant = network.plant;
-
-    let horizon = slot * slots as f64;
-    let events = seeded_scenario(&plant, seed, horizon);
-    let op_faults = OpFaultModel {
-        seed,
-        timeout_prob,
-        fail_prob,
-    };
-    let config = ChaosConfig {
-        slot_len_s: slot,
-        max_slots: slots,
-        detection_delay_s: detect,
-        ..Default::default()
-    };
-    let mut make_engine = |p: &owan::optical::FiberPlant| {
-        let owan_config = OwanConfig {
-            anneal: AnnealConfig {
-                max_iterations: iters,
-                seed: seed.wrapping_add(1),
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        Box::new(OwanEngine::new(default_topology(p), owan_config)) as Box<dyn TrafficEngineer>
-    };
+    let world = case.world(" chaos");
 
     eprintln!(
-        "chaos on {net_name}: {} transfers, {} fault events, {slots} slots of {slot}s, \
-         detect {detect}s, op faults t={timeout_prob} f={fail_prob}",
-        requests.len(),
-        events.len()
+        "chaos on {}: {} transfers, {} fault events, {} slots of {}s, \
+         detect {}s, op faults t={} f={}",
+        case.net_name,
+        world.requests.len(),
+        world.events.len(),
+        case.slots,
+        case.slot,
+        case.detect,
+        case.timeout_prob,
+        case.fail_prob
     );
 
     let recorder = if obs_path.is_some() || scope_on || why_enabled {
@@ -1220,27 +1198,12 @@ fn chaos_main(args: &Args) -> ! {
             flight_slots,
             dump_path: dump_path.map(PathBuf::from),
         });
-        scope.set_meta("mode", "chaos");
-        scope.set_meta("net", &net_name);
-        scope.set_meta("seed", seed);
-        scope.set_meta("load", load);
-        if let Some(s) = sigma {
-            scope.set_meta("sigma", s);
-        }
-        scope.set_meta("slot_len_s", slot);
-        scope.set_meta("slots", slots);
-        scope.set_meta("iters", iters);
-        scope.set_meta("detect_s", detect);
-        scope.set_meta("timeout_prob", timeout_prob);
-        scope.set_meta("fail_prob", fail_prob);
-        scope.set_meta("scope_slots", flight_slots);
+        case.stamp(&scope, flight_slots);
         if why_enabled {
             stamp_slo_meta(&scope, &slo);
         }
         scope
     };
-    let scope = make_scope(scope_dump.as_ref());
-    let rerun_scope = make_scope(None);
     let make_why = |rec: &Recorder| -> WhyRecorder {
         if why_enabled {
             WhyRecorder::enabled(WhyConfig { slo: slo.clone() }, rec)
@@ -1248,58 +1211,29 @@ fn chaos_main(args: &Args) -> ! {
             WhyRecorder::disabled()
         }
     };
-    let why = make_why(&recorder);
-    let rerun_why = make_why(&Recorder::disabled());
+    let probes = Probes {
+        recorder: recorder.clone(),
+        scope: make_scope(scope_dump.as_ref()),
+        why: make_why(&recorder),
+        ..Probes::off()
+    };
+    let rerun_probes = Probes {
+        scope: make_scope(None),
+        why: make_why(&Recorder::disabled()),
+        ..Probes::off()
+    };
+    let scope = &probes.scope;
 
     let mut violations = 0usize;
-    let baseline = run_chaos(
-        &plant,
-        &requests,
-        &mut make_engine,
-        &config,
-        &[],
-        &OpFaultModel::none(),
-        &Recorder::disabled(),
-        None,
-    )
-    .expect("fault-free baseline cannot fail an absent audit");
+    let baseline = case
+        .run(&world, false, &Probes::off(), None)
+        .expect("fault-free baseline cannot fail an absent audit");
+    let run_with = |probes: &Probes| {
+        let mut audit = |a: &SlotAudit| audit_slot(a, probes);
+        case.run(&world, true, probes, Some(&mut audit))
+    };
 
-    let mut run_with =
-        |rec: &Recorder, scp: &ScopeRecorder, why: &WhyRecorder| -> Result<ChaosResult, String> {
-            let checked = rec.counter("oracle.invariant_checked");
-            let violated = rec.counter("oracle.invariant_violated");
-            let mut audit = |a: &SlotAudit| -> Result<(), String> {
-                checked.add(1);
-                if let Err(v) = check_plan(a.believed_plant, a.transfers, a.slot_len_s, a.plan) {
-                    violated.add(1);
-                    scp.anomaly("oracle.invariant_violated", a.slot);
-                    return Err(format!("slot plan: {v}"));
-                }
-                if let (Some(delta), Some(update)) = (a.delta, a.update) {
-                    checked.add(1);
-                    if let Err(v) = check_timeline(delta, update, &a.params) {
-                        violated.add(1);
-                        scp.anomaly("oracle.invariant_violated", a.slot);
-                        return Err(format!("update: {v}"));
-                    }
-                }
-                Ok(())
-            };
-            run_chaos_explained(
-                &plant,
-                &requests,
-                &mut make_engine,
-                &config,
-                &events,
-                &op_faults,
-                rec,
-                scp,
-                why,
-                Some(&mut audit),
-            )
-        };
-
-    let faulted = match run_with(&recorder, &scope, &why) {
+    let faulted = match run_with(&probes) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("owan-cli chaos: FAIL: {e}");
@@ -1307,7 +1241,7 @@ fn chaos_main(args: &Args) -> ! {
         }
     };
     // Same seed, same scenario: the rerun must reproduce the run exactly.
-    let rerun = match run_with(&Recorder::disabled(), &rerun_scope, &rerun_why) {
+    let rerun = match run_with(&rerun_probes) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("owan-cli chaos: FAIL on rerun: {e}");
@@ -1317,11 +1251,14 @@ fn chaos_main(args: &Args) -> ! {
     let mut deterministic = faulted.delivered_series == rerun.delivered_series
         && faulted.stats == rerun.stats
         && faulted.makespan_s == rerun.makespan_s;
-    if scope_on && scope.dump_text() != rerun_scope.dump_text() {
+    if scope_on && scope.dump_text() != rerun_probes.scope.dump_text() {
         deterministic = false;
     }
     if !deterministic {
-        eprintln!("owan-cli chaos: FAIL: rerun with seed {seed} diverged");
+        eprintln!(
+            "owan-cli chaos: FAIL: rerun with seed {} diverged",
+            case.seed
+        );
         violations += 1;
     }
 
@@ -1331,10 +1268,10 @@ fn chaos_main(args: &Args) -> ! {
             .filter(|c| c.completion_s.is_some())
             .count()
     };
-    println!("network,{net_name}");
-    println!("seed,{seed}");
-    println!("transfers,{}", requests.len());
-    println!("fault_events,{}", events.len());
+    println!("network,{}", case.net_name);
+    println!("seed,{}", case.seed);
+    println!("transfers,{}", world.requests.len());
+    println!("fault_events,{}", world.events.len());
     println!("baseline_completed,{}", completed(&baseline));
     println!("chaos_completed,{}", completed(&faulted));
     println!("baseline_delivered_gbits,{:.0}", baseline.delivered_gbits);
@@ -1356,7 +1293,7 @@ fn chaos_main(args: &Args) -> ! {
     println!("blackhole_gbits,{:.0}", faulted.stats.blackhole_gbits);
     println!("transition_loss_gbits,{:.0}", faulted.transition_loss_gbits);
     if why_enabled {
-        match why.tripped() {
+        match probes.why.tripped() {
             Some((reason, slot)) => println!("slo_tripped,{reason},{slot}"),
             None => println!("slo_tripped,none"),
         }
@@ -1372,13 +1309,7 @@ fn chaos_main(args: &Args) -> ! {
                 eprintln!("flight dump written to {path}");
             }
         }
-        write_trace(
-            " chaos",
-            &scope,
-            &recorder,
-            &Profiler::disabled(),
-            &scope_trace,
-        );
+        write_trace(" chaos", &probes, &scope_trace);
     }
 
     write_obs(" chaos", &recorder, &obs_path);
@@ -1540,15 +1471,7 @@ fn attack_main(args: &Args) -> ! {
     };
     let mut engine_factory = |p: &owan::optical::FiberPlant| -> Box<dyn TrafficEngineer> {
         if kind == EngineKind::Owan {
-            let owan_config = OwanConfig {
-                anneal: AnnealConfig {
-                    max_iterations: iters,
-                    seed: seed.wrapping_add(1),
-                    ..Default::default()
-                },
-                ..Default::default()
-            };
-            Box::new(OwanEngine::new(default_topology(p), owan_config))
+            Box::new(owan_engine(p, iters, seed))
         } else {
             owan::sim::runner::make_engine(kind, &network, &runner_cfg)
         }
@@ -1593,8 +1516,6 @@ fn attack_main(args: &Args) -> ! {
         }
         scope
     };
-    let scope = make_scope(scope_dump.as_ref());
-    let rerun_scope = make_scope(None);
     let make_why = |rec: &Recorder| -> WhyRecorder {
         if why_enabled {
             WhyRecorder::enabled(WhyConfig { slo: slo.clone() }, rec)
@@ -1602,47 +1523,40 @@ fn attack_main(args: &Args) -> ! {
             WhyRecorder::disabled()
         }
     };
-    let why = make_why(&recorder);
-    let rerun_why = make_why(&Recorder::disabled());
+    let probes = Probes {
+        recorder: recorder.clone(),
+        scope: make_scope(scope_dump.as_ref()),
+        why: make_why(&recorder),
+        ..Probes::off()
+    };
+    let rerun_probes = Probes {
+        scope: make_scope(None),
+        why: make_why(&Recorder::disabled()),
+        ..Probes::off()
+    };
+    let scope = &probes.scope;
 
-    let mut run_with =
-        |rec: &Recorder, scp: &ScopeRecorder, why: &WhyRecorder| -> Result<AttackOutcome, String> {
-            let checked = rec.counter("oracle.invariant_checked");
-            let violated = rec.counter("oracle.invariant_violated");
-            let mut audit = |a: &SlotAudit| -> Result<(), String> {
-                checked.add(1);
-                if let Err(v) = check_plan(a.believed_plant, a.transfers, a.slot_len_s, a.plan) {
-                    violated.add(1);
-                    scp.anomaly("oracle.invariant_violated", a.slot);
-                    return Err(format!("slot plan: {v}"));
-                }
-                if let (Some(delta), Some(update)) = (a.delta, a.update) {
-                    checked.add(1);
-                    if let Err(v) = check_timeline(delta, update, &a.params) {
-                        violated.add(1);
-                        scp.anomaly("oracle.invariant_violated", a.slot);
-                        return Err(format!("update: {v}"));
-                    }
-                }
-                Ok(())
-            };
-            run_attack_explained(
-                &network.plant,
-                &requests,
-                &timeline,
-                &mut engine_factory,
-                &config,
-                restore,
-                &events,
-                &op_faults,
-                rec,
-                scp,
-                why,
-                Some(&mut audit),
-            )
-        };
+    let attack = AttackSpec {
+        timeline: &timeline,
+        faults: ChaosSpec {
+            events: &events,
+            op_faults,
+        },
+        restore_fraction: restore,
+    };
+    let mut run_with = |probes: &Probes| -> Result<AttackOutcome, String> {
+        run_attack(
+            &network.plant,
+            &requests,
+            &mut engine_factory,
+            &config,
+            attack,
+            probes,
+            Some(&mut |a: &SlotAudit| audit_slot(a, probes)),
+        )
+    };
 
-    let outcome = match run_with(&recorder, &scope, &why) {
+    let outcome = match run_with(&probes) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("owan-cli attack: FAIL: {e}");
@@ -1650,7 +1564,7 @@ fn attack_main(args: &Args) -> ! {
         }
     };
     // Same seed, same timeline: the rerun must reproduce the run exactly.
-    let rerun = match run_with(&Recorder::disabled(), &rerun_scope, &rerun_why) {
+    let rerun = match run_with(&rerun_probes) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("owan-cli attack: FAIL on rerun: {e}");
@@ -1662,7 +1576,7 @@ fn attack_main(args: &Args) -> ! {
         && outcome.attacked.victim_util_series == rerun.attacked.victim_util_series
         && outcome.attacked.stats == rerun.attacked.stats
         && outcome.metrics == rerun.metrics;
-    if scope_on && scope.dump_text() != rerun_scope.dump_text() {
+    if scope_on && scope.dump_text() != rerun_probes.scope.dump_text() {
         deterministic = false;
     }
     let mut violations = 0usize;
@@ -1709,7 +1623,7 @@ fn attack_main(args: &Args) -> ! {
     println!("crashes,{}", outcome.attacked.stats.crashes);
     println!("fallback_slots,{}", outcome.attacked.stats.fallback_slots);
     if why_enabled {
-        match why.tripped() {
+        match probes.why.tripped() {
             Some((reason, slot)) => println!("slo_tripped,{reason},{slot}"),
             None => println!("slo_tripped,none"),
         }
@@ -1742,13 +1656,7 @@ fn attack_main(args: &Args) -> ! {
                 eprintln!("flight dump written to {path}");
             }
         }
-        write_trace(
-            " attack",
-            &scope,
-            &recorder,
-            &Profiler::disabled(),
-            &scope_trace,
-        );
+        write_trace(" attack", &probes, &scope_trace);
     }
 
     write_obs(" attack", &recorder, &obs_path);
@@ -1836,8 +1744,12 @@ fn perf_main() -> ! {
 /// `--trace ID`, one transfer's slot-by-slot history).
 fn transfers_main(args: &Args) -> ! {
     let setup = run_setup(args);
-    let scope = scope_from_args(args, &setup, "sim", true);
-    let recorder = Recorder::enabled();
+    let probes = Probes {
+        recorder: Recorder::enabled(),
+        scope: scope_from_args(args, &setup, "sim", true),
+        ..Probes::off()
+    };
+    let scope = &probes.scope;
     eprintln!(
         "tracing {} on {}: {} transfers, load {}, slot {}s",
         setup.engine_name,
@@ -1846,13 +1758,12 @@ fn transfers_main(args: &Args) -> ! {
         setup.load,
         setup.slot
     );
-    let result = run_engine_traced(
+    let result = run_engine_probed(
         setup.kind,
         &setup.network,
         &setup.requests,
         &setup.cfg,
-        &recorder,
-        &scope,
+        &probes,
     );
 
     if let Some(raw) = args.get("--trace") {
@@ -1879,9 +1790,7 @@ fn transfers_main(args: &Args) -> ! {
     }
     write_trace(
         " transfers",
-        &scope,
-        &recorder,
-        &Profiler::disabled(),
+        &probes,
         &args.get("--scope-trace").map(str::to_string),
     );
     std::process::exit(0);
@@ -1918,9 +1827,12 @@ fn top_main(args: &Args) -> ! {
         let requests = setup.requests.clone();
         let cfg = setup.cfg;
         let kind = setup.kind;
-        let rec = recorder.clone();
-        let scp = scope.clone();
-        std::thread::spawn(move || run_engine_traced(kind, &network, &requests, &cfg, &rec, &scp))
+        let probes = Probes {
+            recorder: recorder.clone(),
+            scope: scope.clone(),
+            ..Probes::off()
+        };
+        std::thread::spawn(move || run_engine_probed(kind, &network, &requests, &cfg, &probes))
     };
     while !handle.is_finished() {
         std::thread::sleep(std::time::Duration::from_secs_f64(interval.min(0.25)));
@@ -2012,14 +1924,18 @@ fn main() {
         setup.load,
         setup.slot
     );
-    let result = run_engine_profiled(
+    let probes = Probes {
+        recorder: recorder.clone(),
+        scope: scope.clone(),
+        prof: prof.clone(),
+        ..Probes::off()
+    };
+    let result = run_engine_probed(
         setup.kind,
         &setup.network,
         &setup.requests,
         &setup.cfg,
-        &recorder,
-        &scope,
-        &prof,
+        &probes,
     );
 
     println!("engine,{}", result.engine);
@@ -2058,7 +1974,7 @@ fn main() {
             "scope_dumped,{}",
             if scope.has_dumped() { "yes" } else { "no" }
         );
-        write_trace("", &scope, &recorder, &prof, &scope_trace);
+        write_trace("", &probes, &scope_trace);
     }
 
     if let Some(path) = &prof_path {

@@ -1,16 +1,20 @@
-//! Telemetry must observe, never perturb: recording a run may not change
-//! a single planning decision, and the recorder's own primitives must
-//! measure exactly what the injected clock says.
+//! Probes must observe, never perturb: no observability tier may change
+//! a single planning decision or run outcome, and the recorder's own
+//! primitives must measure exactly what the injected clock says.
+
+mod common;
 
 use std::sync::Arc;
 
 use owan::core::engine::{OwanConfig, OwanEngine, SlotInput, TrafficEngineer};
 use owan::core::types::Transfer;
-use owan::core::AnnealConfig;
+use owan::core::{AnnealConfig, Profiler};
 use owan::obs::{ManualClock, Recorder};
-use owan::sim::runner::{run_engine, run_engine_observed, EngineKind, RunnerConfig};
-use owan::sim::SimConfig;
-use owan::topo::internet2_testbed;
+use owan::scope::{ScopeConfig, ScopeRecorder};
+use owan::sim::runner::{run_engine, run_engine_probed, EngineKind, RunnerConfig};
+use owan::sim::{Probes, SimConfig};
+use owan::topo::{internet2_testbed, isp_backbone};
+use owan::why::{WhyConfig, WhyRecorder};
 use owan::workload::{generate, WorkloadConfig};
 
 fn small_workload() -> (owan::topo::Network, Vec<owan::core::TransferRequest>) {
@@ -69,24 +73,128 @@ fn recording_does_not_change_slot_plans() {
     }
 }
 
-/// Whole-run determinism on Internet2: same seed, recording vs. no-op
-/// recorder, identical results (the telemetry field aside).
+/// The probe sets the determinism test runs under: all off, each tier
+/// alone, and all four on. Built fresh per run — enabled tiers
+/// accumulate state.
+fn probe_sets() -> Vec<(&'static str, Probes)> {
+    let why = || WhyRecorder::enabled(WhyConfig::default(), &Recorder::disabled());
+    let scope = || ScopeRecorder::enabled(ScopeConfig::default());
+    let recorder = Recorder::enabled();
+    vec![
+        ("off", Probes::off()),
+        (
+            "recorder",
+            Probes {
+                recorder: Recorder::enabled(),
+                ..Probes::off()
+            },
+        ),
+        (
+            "scope",
+            Probes {
+                scope: scope(),
+                ..Probes::off()
+            },
+        ),
+        (
+            "prof",
+            Probes {
+                prof: Profiler::enabled(),
+                ..Probes::off()
+            },
+        ),
+        (
+            "why",
+            Probes {
+                why: why(),
+                ..Probes::off()
+            },
+        ),
+        (
+            "all",
+            Probes {
+                recorder: recorder.clone(),
+                scope: scope(),
+                prof: Profiler::enabled(),
+                why: WhyRecorder::enabled(WhyConfig::default(), &recorder),
+            },
+        ),
+    ]
+}
+
+/// Observe, never perturb: every probe set — off, each tier alone, all
+/// on — yields identical completions, slot counts and series, on the
+/// ideal simulator and on the hardened chaos loop (faults, blackholes,
+/// crashes, op faults).
 #[test]
 fn recording_does_not_change_simulation_results() {
-    let (net, requests) = small_workload();
-    let cfg = fast_runner();
-    let recorder = Recorder::enabled();
-    let observed = run_engine_observed(EngineKind::Owan, &net, &requests, &cfg, &recorder);
+    let net = isp_backbone(42);
+    let mut wl = WorkloadConfig::simulation(0.6, 42).with_deadlines(300.0, 1.5);
+    wl.duration_s = 3_000.0;
+    let requests: Vec<_> = generate(&net, &wl).into_iter().take(8).collect();
+    let cfg = RunnerConfig {
+        anneal_iterations: 40,
+        ..fast_runner()
+    };
     let plain = run_engine(EngineKind::Owan, &net, &requests, &cfg);
+    for (name, probes) in probe_sets() {
+        let probed = run_engine_probed(EngineKind::Owan, &net, &requests, &cfg, &probes);
+        assert_eq!(plain.completions, probed.completions, "sim under {name}");
+        assert_eq!(plain.slots, probed.slots, "sim under {name}");
+        assert_eq!(plain.makespan_s, probed.makespan_s, "sim under {name}");
+        assert_eq!(
+            plain.throughput_series, probed.throughput_series,
+            "sim under {name}"
+        );
+        assert_eq!(
+            plain.delivered_series, probed.delivered_series,
+            "sim under {name}"
+        );
+        if name == "prof" {
+            // Without telemetry or an audit to consume it, the ideal
+            // simulator schedules no update at all.
+            let regions = probes.prof.snapshot().nodes;
+            assert!(regions.iter().any(|n| n.name == "slot"));
+            assert!(regions.iter().all(|n| n.name != "update"));
+        }
+    }
 
-    assert_eq!(observed.completions, plain.completions);
-    assert_eq!(observed.throughput_series, plain.throughput_series);
-    assert_eq!(observed.makespan_s, plain.makespan_s);
-    assert_eq!(observed.slots, plain.slots);
+    let chaos =
+        |probes: &Probes| common::internet2_chaos(42, probes).expect("no audit, no failure");
+    let plain = chaos(&Probes::off());
+    assert!(plain.stats.blackhole_gbits > 0.0, "the cut must bite");
+    for (name, probes) in probe_sets() {
+        let probed = chaos(&probes);
+        assert_eq!(plain.completions, probed.completions, "chaos under {name}");
+        assert_eq!(plain.slots, probed.slots, "chaos under {name}");
+        assert_eq!(plain.makespan_s, probed.makespan_s, "chaos under {name}");
+        assert_eq!(
+            plain.delivered_series, probed.delivered_series,
+            "chaos under {name}"
+        );
+        assert_eq!(
+            plain.background_series, probed.background_series,
+            "chaos under {name}"
+        );
+        assert_eq!(plain.stats, probed.stats, "chaos under {name}");
+    }
+}
+
+/// An observed run carries one telemetry row per planned slot, with the
+/// stage splits nested inside the measured planning time, and the
+/// recorder sees the whole pipeline.
+#[test]
+fn observed_run_reports_every_stage() {
+    let (net, requests) = small_workload();
+    let recorder = Recorder::enabled();
+    let probes = Probes {
+        recorder: recorder.clone(),
+        ..Probes::off()
+    };
+    let observed = run_engine_probed(EngineKind::Owan, &net, &requests, &fast_runner(), &probes);
+    let plain = run_engine(EngineKind::Owan, &net, &requests, &fast_runner());
     assert!(plain.telemetry.is_none());
 
-    // The observed run carries one row per planned slot, with the stage
-    // splits nested inside the measured planning time.
     let rows = observed.telemetry.as_ref().expect("telemetry rows");
     assert_eq!(rows.len(), observed.throughput_series.len());
     for row in rows {
@@ -94,7 +202,6 @@ fn recording_does_not_change_simulation_results() {
         assert!(row.circuits_ns + row.rates_ns <= row.anneal_ns, "{row:?}");
         assert!((row.throughput_gbps - observed.throughput_series[row.slot].1).abs() < 1e-12);
     }
-    // And the recorder saw the whole pipeline.
     let snap = recorder.snapshot();
     for stage in [
         "stage.slot",

@@ -1,16 +1,15 @@
-//! The region profiler must observe, never perturb — disabled it changes
-//! no simulation outcome, enabled it still reproduces the same plans and
-//! its miss-attribution counters must account for every single cache
-//! miss. The `perf diff` CLI parser is strict: a typo'd flag exits 2
+//! The region profiler must observe, never perturb — enabled it still
+//! reproduces the same plans (every probe set is checked in
+//! `tests/observability.rs`) and its miss-attribution counters must
+//! account for every single cache miss. The `perf diff` CLI parser is strict: a typo'd flag exits 2
 //! instead of silently dropping a gate.
 
 use std::process::Command;
 
 use owan::core::{Profiler, TransferRequest};
 use owan::obs::Recorder;
-use owan::scope::ScopeRecorder;
-use owan::sim::runner::{run_engine, run_engine_profiled, EngineKind, RunnerConfig};
-use owan::sim::SimConfig;
+use owan::sim::runner::{run_engine, run_engine_probed, EngineKind, RunnerConfig};
+use owan::sim::{Probes, SimConfig};
 use owan::topo::isp::ISP_SITES;
 use owan::topo::{isp_backbone, Network};
 use owan::workload::{generate, WorkloadConfig};
@@ -36,29 +35,6 @@ fn isp_workload(load: f64, take: usize) -> (Network, Vec<TransferRequest>) {
     (net, requests)
 }
 
-/// A disabled profiler must not change a single simulation outcome.
-#[test]
-fn disabled_profiler_is_zero_perturbation() {
-    let (net, requests) = isp_workload(0.6, 8);
-    let cfg = fast_runner(40);
-    let plain = run_engine(EngineKind::Owan, &net, &requests, &cfg);
-    let profiled = run_engine_profiled(
-        EngineKind::Owan,
-        &net,
-        &requests,
-        &cfg,
-        &Recorder::disabled(),
-        &ScopeRecorder::disabled(),
-        &Profiler::disabled(),
-    );
-    assert_eq!(plain.makespan_s, profiled.makespan_s);
-    assert_eq!(plain.slots, profiled.slots);
-    assert_eq!(plain.throughput_series, profiled.throughput_series);
-    for (a, b) in plain.completions.iter().zip(&profiled.completions) {
-        assert_eq!(a.completion_s, b.completion_s);
-    }
-}
-
 /// An enabled profiler still reproduces the same plans, and its region
 /// tree covers the whole pipeline: slot → plan_slot → anneal → eval →
 /// circuits/rates, plus update. The folded-stack export is well-formed
@@ -71,15 +47,12 @@ fn enabled_profiler_preserves_results_and_exports_folded_stacks() {
     let prof = Profiler::enabled();
     // Recorder enabled so the telemetry-only update-scheduling stage runs
     // and its region shows up; observed runs are result-identical.
-    let profiled = run_engine_profiled(
-        EngineKind::Owan,
-        &net,
-        &requests,
-        &cfg,
-        &Recorder::enabled(),
-        &ScopeRecorder::disabled(),
-        &prof,
-    );
+    let probes = Probes {
+        recorder: Recorder::enabled(),
+        prof: prof.clone(),
+        ..Probes::off()
+    };
+    let profiled = run_engine_probed(EngineKind::Owan, &net, &requests, &cfg, &probes);
     assert_eq!(plain.makespan_s, profiled.makespan_s);
     assert_eq!(plain.throughput_series, profiled.throughput_series);
 
@@ -130,15 +103,11 @@ fn isp_fig10_cache_misses_are_fully_attributed() {
     assert_eq!(ISP_SITES, 40, "Fig-10 backbone must have 40 sites");
     let (net, requests) = isp_workload(0.6, 10);
     let recorder = Recorder::enabled();
-    let result = run_engine_profiled(
-        EngineKind::Owan,
-        &net,
-        &requests,
-        &fast_runner(40),
-        &recorder,
-        &ScopeRecorder::disabled(),
-        &Profiler::disabled(),
-    );
+    let probes = Probes {
+        recorder: recorder.clone(),
+        ..Probes::off()
+    };
+    let result = run_engine_probed(EngineKind::Owan, &net, &requests, &fast_runner(40), &probes);
     assert!(result.all_completed(), "ISP run left transfers unfinished");
 
     let snap = recorder.snapshot();

@@ -2,21 +2,20 @@
 //! emits (Chrome traces, transfer accounting, flight dumps) must be
 //! internally consistent and reproducible.
 
+mod common;
+
 use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::process::Command;
 
-use owan::chaos::{run_chaos_traced, seeded_scenario, ChaosConfig, OpFaultModel};
-use owan::core::{
-    default_topology, AnnealConfig, OwanConfig, OwanEngine, TrafficEngineer, TransferRequest,
-};
+use owan::core::TransferRequest;
 use owan::obs::Recorder;
 use owan::scope::{jsonv, FlightDump, MetricsServer, ScopeConfig, ScopeRecorder};
-use owan::sim::runner::{run_engine, run_engine_traced, EngineKind, RunnerConfig};
-use owan::sim::SimConfig;
+use owan::sim::runner::{run_engine_probed, EngineKind, RunnerConfig};
+use owan::sim::{Probes, SimConfig};
 use owan::topo::isp::ISP_SITES;
-use owan::topo::{internet2_testbed, isp_backbone, Network};
+use owan::topo::{isp_backbone, Network};
 use owan::workload::{generate, WorkloadConfig};
 
 fn fast_runner(iters: usize) -> RunnerConfig {
@@ -49,14 +48,12 @@ fn isp_fig10_run_exports_valid_nested_chrome_trace() {
     let (net, requests) = isp_workload(0.6, 10);
     let recorder = Recorder::enabled();
     let scope = ScopeRecorder::enabled(ScopeConfig::default());
-    let result = run_engine_traced(
-        EngineKind::Owan,
-        &net,
-        &requests,
-        &fast_runner(40),
-        &recorder,
-        &scope,
-    );
+    let probes = Probes {
+        recorder: recorder.clone(),
+        scope: scope.clone(),
+        ..Probes::off()
+    };
+    let result = run_engine_probed(EngineKind::Owan, &net, &requests, &fast_runner(40), &probes);
     assert!(result.all_completed(), "ISP run left transfers unfinished");
 
     let mut raw: Vec<u8> = Vec::new();
@@ -118,14 +115,12 @@ fn isp_fig10_run_exports_valid_nested_chrome_trace() {
 fn transfer_accounting_matches_aggregate_to_float_tolerance() {
     let (net, requests) = isp_workload(0.6, 12);
     let scope = ScopeRecorder::enabled(ScopeConfig::default());
-    let result = run_engine_traced(
-        EngineKind::Owan,
-        &net,
-        &requests,
-        &fast_runner(40),
-        &Recorder::enabled(),
-        &scope,
-    );
+    let probes = Probes {
+        recorder: Recorder::enabled(),
+        scope: scope.clone(),
+        ..Probes::off()
+    };
+    let result = run_engine_probed(EngineKind::Owan, &net, &requests, &fast_runner(40), &probes);
 
     let tracker = scope.tracker_snapshot().unwrap();
     assert_eq!(tracker.transfers().len(), requests.len());
@@ -159,73 +154,16 @@ fn transfer_accounting_matches_aggregate_to_float_tolerance() {
     assert!(total > 0.0);
 }
 
-/// A disabled scope must not change a single simulation outcome.
-#[test]
-fn disabled_scope_is_zero_perturbation() {
-    let (net, requests) = isp_workload(0.6, 8);
-    let cfg = fast_runner(40);
-    let plain = run_engine(EngineKind::Owan, &net, &requests, &cfg);
-    let traced = run_engine_traced(
-        EngineKind::Owan,
-        &net,
-        &requests,
-        &cfg,
-        &Recorder::disabled(),
-        &ScopeRecorder::disabled(),
-    );
-    assert_eq!(plain.makespan_s, traced.makespan_s);
-    assert_eq!(plain.slots, traced.slots);
-    assert_eq!(plain.throughput_series, traced.throughput_series);
-    for (a, b) in plain.completions.iter().zip(&traced.completions) {
-        assert_eq!(a.completion_s, b.completion_s);
-    }
-}
-
 fn chaos_scope_run(seed: u64) -> (ScopeRecorder, Result<(), String>) {
-    let net = internet2_testbed();
-    let requests = generate(&net, &WorkloadConfig::testbed(0.5, seed));
-    let plant = net.plant;
-    let config = ChaosConfig {
-        slot_len_s: 300.0,
-        max_slots: 16,
-        // Longer than the horizon: the mid-run fiber cut stays undetected
-        // and blackholes live circuits, triggering the anomaly dump.
-        detection_delay_s: 400.0,
-        ..Default::default()
-    };
-    let events = seeded_scenario(&plant, seed, 300.0 * 16.0);
-    let op_faults = OpFaultModel {
-        seed,
-        timeout_prob: 0.1,
-        fail_prob: 0.05,
-    };
-    let mut make_engine = |p: &owan::optical::FiberPlant| {
-        let owan_config = OwanConfig {
-            anneal: AnnealConfig {
-                max_iterations: 30,
-                seed: seed.wrapping_add(1),
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        Box::new(OwanEngine::new(default_topology(p), owan_config)) as Box<dyn TrafficEngineer>
-    };
     let scope = ScopeRecorder::enabled(ScopeConfig::default());
     scope.set_meta("mode", "chaos");
     scope.set_meta("net", "internet2");
     scope.set_meta("seed", seed);
-    let outcome = run_chaos_traced(
-        &plant,
-        &requests,
-        &mut make_engine,
-        &config,
-        &events,
-        &op_faults,
-        &Recorder::disabled(),
-        &scope,
-        None,
-    )
-    .map(|_| ());
+    let probes = Probes {
+        scope: scope.clone(),
+        ..Probes::off()
+    };
+    let outcome = common::internet2_chaos(seed, &probes).map(|_| ());
     (scope, outcome)
 }
 

@@ -1,19 +1,17 @@
 //! Tier-4 (`owan-why`) acceptance tests: the attribution buckets must
 //! partition wall time on the paper's Fig-10 network, the blackhole
-//! bucket must agree bit-for-bit with the chaos runner's loss ledger,
-//! and a disabled why recorder must never perturb a run.
+//! bucket must agree bit-for-bit with the chaos runner's loss ledger (a
+//! why recorder never perturbing a run is checked with every other probe
+//! set in `tests/observability.rs`).
 
-use owan::chaos::{run_chaos_explained, seeded_scenario, ChaosConfig, OpFaultModel};
-use owan::core::{
-    default_topology, AnnealConfig, OwanConfig, OwanEngine, Profiler, TrafficEngineer,
-    TransferRequest,
-};
+mod common;
+
+use owan::core::TransferRequest;
 use owan::obs::Recorder;
-use owan::scope::ScopeRecorder;
-use owan::sim::runner::{run_engine, run_engine_explained, EngineKind, RunnerConfig};
-use owan::sim::SimConfig;
+use owan::sim::runner::{run_engine_probed, EngineKind, RunnerConfig};
+use owan::sim::{Probes, SimConfig};
 use owan::topo::isp::ISP_SITES;
-use owan::topo::{internet2_testbed, isp_backbone, Network};
+use owan::topo::{isp_backbone, Network};
 use owan::why::{render_explain, WhyConfig, WhyRecorder, WhyReport};
 use owan::workload::{generate, WorkloadConfig};
 
@@ -65,16 +63,12 @@ fn fig10_isp_buckets_partition_wall_time() {
     let (net, requests) = isp_deadline_workload(0.6, 12);
     let recorder = Recorder::enabled();
     let why = WhyRecorder::enabled(WhyConfig::default(), &recorder);
-    let result = run_engine_explained(
-        EngineKind::Owan,
-        &net,
-        &requests,
-        &fast_runner(40),
-        &recorder,
-        &ScopeRecorder::disabled(),
-        &Profiler::disabled(),
-        &why,
-    );
+    let probes = Probes {
+        recorder,
+        why: why.clone(),
+        ..Probes::off()
+    };
+    let result = run_engine_probed(EngineKind::Owan, &net, &requests, &fast_runner(40), &probes);
     assert!(result.all_completed(), "ISP run left transfers unfinished");
     let report = why.report().expect("enabled why recorder yields a report");
     assert_eq!(report.transfers.len(), requests.len());
@@ -115,50 +109,14 @@ fn fig10_isp_buckets_partition_wall_time() {
 }
 
 fn chaos_why_run(seed: u64) -> (owan::chaos::ChaosResult, WhyReport) {
-    let net = internet2_testbed();
-    let requests = generate(&net, &WorkloadConfig::testbed(0.5, seed));
-    let plant = net.plant;
-    let config = ChaosConfig {
-        slot_len_s: 300.0,
-        max_slots: 16,
-        // Longer than the horizon: the mid-run fiber cut stays
-        // undetected and blackholes live circuits, so the ledger and the
-        // blackhole bucket both see real loss.
-        detection_delay_s: 400.0,
-        ..Default::default()
-    };
-    let events = seeded_scenario(&plant, seed, 300.0 * 16.0);
-    let op_faults = OpFaultModel {
-        seed,
-        timeout_prob: 0.1,
-        fail_prob: 0.05,
-    };
-    let mut make_engine = |p: &owan::optical::FiberPlant| {
-        let owan_config = OwanConfig {
-            anneal: AnnealConfig {
-                max_iterations: 30,
-                seed: seed.wrapping_add(1),
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        Box::new(OwanEngine::new(default_topology(p), owan_config)) as Box<dyn TrafficEngineer>
-    };
     let recorder = Recorder::enabled();
     let why = WhyRecorder::enabled(WhyConfig::default(), &recorder);
-    let result = run_chaos_explained(
-        &plant,
-        &requests,
-        &mut make_engine,
-        &config,
-        &events,
-        &op_faults,
-        &recorder,
-        &ScopeRecorder::disabled(),
-        &why,
-        None,
-    )
-    .expect("chaos run failed");
+    let probes = Probes {
+        recorder,
+        why: why.clone(),
+        ..Probes::off()
+    };
+    let result = common::internet2_chaos(seed, &probes).expect("chaos run failed");
     let report = why.report().expect("enabled why recorder yields a report");
     (result, report)
 }
@@ -185,34 +143,4 @@ fn blackhole_bucket_matches_chaos_ledger_exactly() {
         blamed > 0.0,
         "loss booked but no transfer blames a blackhole"
     );
-}
-
-/// A disabled why recorder must not change a single simulation outcome,
-/// and an enabled one must not either (observe, never perturb).
-#[test]
-fn why_recorder_is_zero_perturbation() {
-    let (net, requests) = isp_deadline_workload(0.6, 8);
-    let cfg = fast_runner(40);
-    let plain = run_engine(EngineKind::Owan, &net, &requests, &cfg);
-    for why in [
-        WhyRecorder::disabled(),
-        WhyRecorder::enabled(WhyConfig::default(), &Recorder::enabled()),
-    ] {
-        let explained = run_engine_explained(
-            EngineKind::Owan,
-            &net,
-            &requests,
-            &cfg,
-            &Recorder::disabled(),
-            &ScopeRecorder::disabled(),
-            &Profiler::disabled(),
-            &why,
-        );
-        assert_eq!(plain.makespan_s, explained.makespan_s);
-        assert_eq!(plain.slots, explained.slots);
-        assert_eq!(plain.throughput_series, explained.throughput_series);
-        for (a, b) in plain.completions.iter().zip(&explained.completions) {
-            assert_eq!(a.completion_s, b.completion_s);
-        }
-    }
 }
