@@ -1,6 +1,6 @@
-//! The region profiler must observe, never perturb — enabled it still
-//! reproduces the same plans (every probe set is checked in
-//! `tests/observability.rs`) and its miss-attribution counters must
+//! The region profiler must observe, never perturb — disabled it changes
+//! no simulation outcome, enabled it still reproduces the same plans
+//! (every probe set is checked in `tests/observability.rs`) and its miss-attribution counters must
 //! account for every single cache miss. The `perf diff` CLI parser is strict: a typo'd flag exits 2
 //! instead of silently dropping a gate.
 
@@ -33,6 +33,25 @@ fn isp_workload(load: f64, take: usize) -> (Network, Vec<TransferRequest>) {
     cfg.duration_s = 3_000.0;
     let requests: Vec<_> = generate(&net, &cfg).into_iter().take(take).collect();
     (net, requests)
+}
+
+/// A disabled profiler must not change a single simulation outcome.
+#[test]
+fn disabled_profiler_is_zero_perturbation() {
+    let (net, requests) = isp_workload(0.6, 8);
+    let cfg = fast_runner(40);
+    let plain = run_engine(EngineKind::Owan, &net, &requests, &cfg);
+    let probes = Probes {
+        prof: Profiler::disabled(),
+        ..Probes::off()
+    };
+    let profiled = run_engine_probed(EngineKind::Owan, &net, &requests, &cfg, &probes);
+    assert_eq!(plain.makespan_s, profiled.makespan_s);
+    assert_eq!(plain.slots, profiled.slots);
+    assert_eq!(plain.throughput_series, profiled.throughput_series);
+    for (a, b) in plain.completions.iter().zip(&profiled.completions) {
+        assert_eq!(a.completion_s, b.completion_s);
+    }
 }
 
 /// An enabled profiler still reproduces the same plans, and its region

@@ -12,7 +12,7 @@ use std::process::Command;
 use owan::core::TransferRequest;
 use owan::obs::Recorder;
 use owan::scope::{jsonv, FlightDump, MetricsServer, ScopeConfig, ScopeRecorder};
-use owan::sim::runner::{run_engine_probed, EngineKind, RunnerConfig};
+use owan::sim::runner::{run_engine, run_engine_probed, EngineKind, RunnerConfig};
 use owan::sim::{Probes, SimConfig};
 use owan::topo::isp::ISP_SITES;
 use owan::topo::{isp_backbone, Network};
@@ -152,6 +152,25 @@ fn transfer_accounting_matches_aggregate_to_float_tolerance() {
         "aggregate {total} != per-transfer sum {sum}"
     );
     assert!(total > 0.0);
+}
+
+/// A disabled scope must not change a single simulation outcome.
+#[test]
+fn disabled_scope_is_zero_perturbation() {
+    let (net, requests) = isp_workload(0.6, 8);
+    let cfg = fast_runner(40);
+    let plain = run_engine(EngineKind::Owan, &net, &requests, &cfg);
+    let probes = Probes {
+        scope: ScopeRecorder::disabled(),
+        ..Probes::off()
+    };
+    let traced = run_engine_probed(EngineKind::Owan, &net, &requests, &cfg, &probes);
+    assert_eq!(plain.makespan_s, traced.makespan_s);
+    assert_eq!(plain.slots, traced.slots);
+    assert_eq!(plain.throughput_series, traced.throughput_series);
+    for (a, b) in plain.completions.iter().zip(&traced.completions) {
+        assert_eq!(a.completion_s, b.completion_s);
+    }
 }
 
 fn chaos_scope_run(seed: u64) -> (ScopeRecorder, Result<(), String>) {

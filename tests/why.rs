@@ -1,14 +1,14 @@
 //! Tier-4 (`owan-why`) acceptance tests: the attribution buckets must
 //! partition wall time on the paper's Fig-10 network, the blackhole
-//! bucket must agree bit-for-bit with the chaos runner's loss ledger (a
-//! why recorder never perturbing a run is checked with every other probe
-//! set in `tests/observability.rs`).
+//! bucket must agree bit-for-bit with the chaos runner's loss ledger, and
+//! a why recorder must never perturb a run (the same holds with every
+//! other probe set in `tests/observability.rs`).
 
 mod common;
 
 use owan::core::TransferRequest;
 use owan::obs::Recorder;
-use owan::sim::runner::{run_engine_probed, EngineKind, RunnerConfig};
+use owan::sim::runner::{run_engine, run_engine_probed, EngineKind, RunnerConfig};
 use owan::sim::{Probes, SimConfig};
 use owan::topo::isp::ISP_SITES;
 use owan::topo::{isp_backbone, Network};
@@ -104,6 +104,31 @@ fn fig10_isp_buckets_partition_wall_time() {
     for attr in &report.transfers {
         if let (Some(w), Some(s)) = (worst.slack_s, attr.slack_s) {
             assert!(w <= s + 1e-9);
+        }
+    }
+}
+
+/// A disabled why recorder must not change a single simulation outcome,
+/// and an enabled one must not either (observe, never perturb).
+#[test]
+fn why_recorder_is_zero_perturbation() {
+    let (net, requests) = isp_deadline_workload(0.6, 8);
+    let cfg = fast_runner(40);
+    let plain = run_engine(EngineKind::Owan, &net, &requests, &cfg);
+    for why in [
+        WhyRecorder::disabled(),
+        WhyRecorder::enabled(WhyConfig::default(), &Recorder::enabled()),
+    ] {
+        let probes = Probes {
+            why,
+            ..Probes::off()
+        };
+        let explained = run_engine_probed(EngineKind::Owan, &net, &requests, &cfg, &probes);
+        assert_eq!(plain.makespan_s, explained.makespan_s);
+        assert_eq!(plain.slots, explained.slots);
+        assert_eq!(plain.throughput_series, explained.throughput_series);
+        for (a, b) in plain.completions.iter().zip(&explained.completions) {
+            assert_eq!(a.completion_s, b.completion_s);
         }
     }
 }
